@@ -1,7 +1,7 @@
 // hera_cli: run HERA over a dataset file from the command line.
 //
 //   hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]
-//                    [--threads N] [--index-backend ordered|flat]
+//                    [--threads N]
 //                    [--kernel-dispatch auto|avx2|sse4|scalar]
 //                    [--out labels.csv] [--quiet]
 //                    [--emit-report report.json] [--log-level LEVEL]
@@ -9,9 +9,15 @@
 //                    [--timeline-interval-ms MS]
 //                    [--checkpoint-dir DIR] [--checkpoint-every K]
 //                    [--resume] [--deadline-ms MS]
-//   hera_cli generate <movies|publications> <output.hera>
-//                    [--records N] [--entities E] [--seed S]
+//                    [--progressive] [--max-verifications N]
+//                    [--frontier-capacity C]
+//   hera_cli generate <movies|publications|ambiguous> <output.hera>
+//                    [--records N] [--entities E] [--seed S] [--decoys D]
 //   hera_cli stats <input.hera>
+//
+// Every command refuses an unknown flag, a flag without its value, and
+// a number that does not parse or is out of range (HERA_THREADS
+// included), with exit code 64 before any input is read.
 //
 // `resolve` prints (or writes) one "record_id,entity_label" line per
 // record plus run statistics; when the input carries ground truth it
@@ -27,11 +33,6 @@
 // HERA_THREADS environment variable; the flag wins) sets
 // HeraOptions::num_threads — results are identical at any setting (see
 // docs/performance.md); the run report records the value used.
-// --index-backend (or HERA_INDEX_BACKEND; the flag wins) picks the
-// hash-structure backend for candidate generation and index lookups:
-// "ordered" (the default node-based containers) or "flat" (the
-// batched, prefetch-pipelined flat table — same labels and merge
-// order, lower probe cost; see docs/performance.md).
 // --kernel-dispatch (or HERA_KERNEL_DISPATCH; the flag wins) picks the
 // SIMD tier for the similarity kernels: "auto" (default: best
 // supported), "avx2", "sse4", or "scalar". Tiers unsupported by the
@@ -57,11 +58,17 @@
 // and, with a checkpoint directory, resumable); 3 error (unreadable
 // input, corrupt checkpoint, write failure); 64 usage error.
 
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <map>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -74,6 +81,7 @@
 #include "eval/cluster_metrics.h"
 #include "eval/metrics.h"
 #include "obs/perfetto.h"
+#include "sim/metrics.h"
 
 using namespace hera;
 
@@ -84,7 +92,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]\n"
-      "                   [--threads N] [--index-backend ordered|flat]\n"
+      "                   [--threads N]\n"
       "                   [--kernel-dispatch auto|avx2|sse4|scalar]\n"
       "                   [--out labels.csv] [--quiet]\n"
       "                   [--emit-report report.json] [--log-level LEVEL]\n"
@@ -112,51 +120,139 @@ extern "C" void HandleStopSignal(int /*sig*/) {
   g_signal_cancel.RequestCancel();
 }
 
-/// Returns the value following `flag`, or nullptr.
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 0; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
+/// One command's arguments: positionals in order, and each given flag
+/// with its value ("" for a bare switch; a later repeat overrides an
+/// earlier one).
+struct Args {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string> flags;
+
+  const char* Value(const char* flag) const {
+    auto it = flags.find(flag);
+    return it == flags.end() ? nullptr : it->second.c_str();
   }
-  return nullptr;
+  bool Has(const char* flag) const { return flags.count(flag) > 0; }
+};
+
+/// Splits `argv` into `out` against the command's flags. --log-level is
+/// accepted by every command and applied here. Prints why and returns
+/// false on an unknown flag, a flag without its value, a bad log level,
+/// or a positional count other than `positionals`.
+bool ParseArgs(int argc, char** argv, const char* cmd, size_t positionals,
+               std::initializer_list<const char*> valued,
+               std::initializer_list<const char*> bare, Args* out) {
+  auto listed = [](std::initializer_list<const char*> flags, const char* arg) {
+    for (const char* f : flags) {
+      if (std::strcmp(f, arg) == 0) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--", 2) != 0) {
+      out->positional.push_back(arg);
+    } else if (listed(bare, arg)) {
+      out->flags[arg] = "";
+    } else if (listed(valued, arg) || std::strcmp(arg, "--log-level") == 0) {
+      if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        std::fprintf(stderr, "hera_cli %s: %s needs a value\n", cmd, arg);
+        return false;
+      }
+      out->flags[arg] = argv[++i];
+    } else {
+      std::fprintf(stderr, "hera_cli %s: unknown flag %s\n", cmd, arg);
+      return false;
+    }
+  }
+  if (out->positional.size() != positionals) {
+    std::fprintf(stderr, "hera_cli %s: want %zu non-flag arguments, got %zu\n",
+                 cmd, positionals, out->positional.size());
+    return false;
+  }
+  if (const char* v = out->Value("--log-level")) {
+    LogLevel level;
+    if (!ParseLogLevel(v, &level)) {
+      std::fprintf(stderr,
+                   "unknown --log-level %s (want debug|info|warning|error|off)\n",
+                   v);
+      return false;
+    }
+    SetLogLevel(level);
+  }
+  return true;
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
+/// Parses all of `text` as a finite number (T floating point) or a
+/// non-negative decimal integer (T a 64-bit unsigned type). Prints why
+/// and returns false otherwise ("abc", "4x", "-1", "nan", overflow).
+template <typename T>
+bool ParseNumber(const char* name, const char* text, T* out) {
+  errno = 0;
+  char* end = nullptr;
+  bool ok;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double v = std::strtod(text, &end);
+    ok = end != text && std::isfinite(v);
+    *out = static_cast<T>(v);
+  } else {
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    static_assert(sizeof(T) == sizeof(v), "64-bit unsigned target");
+    ok = text[0] >= '0' && text[0] <= '9';
+    *out = static_cast<T>(v);
   }
-  return false;
+  if (!ok || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "invalid value '%s' for %s (want a %s)\n", text, name,
+                 std::is_floating_point_v<T> ? "finite number"
+                                             : "non-negative integer");
+    return false;
+  }
+  return true;
+}
+
+/// Parses the flag's value into `out` when the flag was given.
+template <typename T>
+bool ParseFlag(const Args& args, const char* flag, T* out) {
+  const char* v = args.Value(flag);
+  return v == nullptr || ParseNumber(flag, v, out);
 }
 
 int CmdResolve(int argc, char** argv) {
-  if (argc < 1) return Usage();
-  auto ds = ReadDataset(argv[0]);
-  if (!ds.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", argv[0],
-                 ds.status().ToString().c_str());
-    return 3;
-  }
-  HeraOptions opts;
-  if (const char* v = FlagValue(argc, argv, "--xi")) opts.xi = std::atof(v);
-  if (const char* v = FlagValue(argc, argv, "--delta")) opts.delta = std::atof(v);
-  if (const char* v = FlagValue(argc, argv, "--metric")) opts.metric = v;
-  if (const char* v = std::getenv("HERA_THREADS")) {
-    opts.num_threads = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--threads")) {
-    opts.num_threads = std::strtoull(v, nullptr, 10);
-  }
-  const char* backend_name = std::getenv("HERA_INDEX_BACKEND");
-  if (const char* v = FlagValue(argc, argv, "--index-backend")) backend_name = v;
-  if (backend_name != nullptr &&
-      !IndexBackendFromString(backend_name, &opts.index_backend)) {
-    std::fprintf(stderr, "unknown index backend %s (want ordered|flat)\n",
-                 backend_name);
+  Args args;
+  if (!ParseArgs(argc, argv, "resolve", 1,
+                 {"--xi", "--delta", "--metric", "--threads",
+                  "--kernel-dispatch", "--out", "--emit-report", "--trace-out",
+                  "--timeline-csv", "--timeline-interval-ms",
+                  "--checkpoint-dir", "--checkpoint-every", "--deadline-ms",
+                  "--max-verifications", "--frontier-capacity"},
+                 {"--quiet", "--resume", "--progressive"}, &args)) {
     return Usage();
   }
-  const char* dispatch_name = std::getenv("HERA_KERNEL_DISPATCH");
-  if (const char* v = FlagValue(argc, argv, "--kernel-dispatch")) {
-    dispatch_name = v;
+  HeraOptions opts;
+  if (const char* v = args.Value("--metric")) opts.metric = v;
+  if (const char* v = args.Value("--checkpoint-dir")) opts.checkpoint_dir = v;
+  const char* env_threads = std::getenv("HERA_THREADS");
+  double deadline_ms = -1.0;  // Negative: no deadline.
+  size_t max_verifications = 0;
+  if (!ParseFlag(args, "--xi", &opts.xi) ||
+      !ParseFlag(args, "--delta", &opts.delta) ||
+      (env_threads != nullptr &&
+       !ParseNumber("HERA_THREADS", env_threads, &opts.num_threads)) ||
+      !ParseFlag(args, "--threads", &opts.num_threads) ||
+      !ParseFlag(args, "--checkpoint-every", &opts.checkpoint_every) ||
+      !ParseFlag(args, "--deadline-ms", &deadline_ms) ||
+      !ParseFlag(args, "--max-verifications", &max_verifications) ||
+      !ParseFlag(args, "--frontier-capacity", &opts.frontier_capacity)) {
+    return Usage();
   }
+  if (args.Value("--deadline-ms") != nullptr && deadline_ms < 0.0) {
+    std::fprintf(stderr, "invalid value '%s' for --deadline-ms (want >= 0)\n",
+                 args.Value("--deadline-ms"));
+    return Usage();
+  }
+  opts.guard.WithTimeoutMs(deadline_ms);
+  opts.guard.WithMaxVerifications(max_verifications);
+  const char* dispatch_name = std::getenv("HERA_KERNEL_DISPATCH");
+  if (const char* v = args.Value("--kernel-dispatch")) dispatch_name = v;
   if (dispatch_name != nullptr &&
       !KernelDispatchFromString(dispatch_name, &opts.kernel_dispatch)) {
     std::fprintf(stderr,
@@ -164,24 +260,9 @@ int CmdResolve(int argc, char** argv) {
                  dispatch_name);
     return Usage();
   }
-  if (const char* v = FlagValue(argc, argv, "--checkpoint-dir")) {
-    opts.checkpoint_dir = v;
-  }
-  if (const char* v = FlagValue(argc, argv, "--checkpoint-every")) {
-    opts.checkpoint_every = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--deadline-ms")) {
-    opts.guard.WithTimeoutMs(std::atof(v));
-  }
-  opts.progressive = HasFlag(argc, argv, "--progressive");
-  if (const char* v = FlagValue(argc, argv, "--max-verifications")) {
-    opts.guard.WithMaxVerifications(std::strtoull(v, nullptr, 10));
-  }
-  if (const char* v = FlagValue(argc, argv, "--frontier-capacity")) {
-    opts.frontier_capacity = std::strtoull(v, nullptr, 10);
-  }
-  const bool quiet_early = HasFlag(argc, argv, "--quiet");
-  if (opts.progressive && !quiet_early) {
+  opts.progressive = args.Has("--progressive");
+  const bool quiet = args.Has("--quiet");
+  if (opts.progressive && !quiet) {
     opts.guard.WithBudgetObserver([](const char* reason) {
       std::fprintf(stderr,
                    "progressive cut (%s): draining frontier and writing "
@@ -195,15 +276,14 @@ int CmdResolve(int argc, char** argv) {
   opts.guard.WithCancellation(g_signal_cancel);
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
-  const bool resume = HasFlag(argc, argv, "--resume");
+  const bool resume = args.Has("--resume");
   if (resume && opts.checkpoint_dir.empty()) {
     std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
     return Usage();
   }
-  const bool quiet = HasFlag(argc, argv, "--quiet");
-  const char* report_path = FlagValue(argc, argv, "--emit-report");
-  const char* trace_path = FlagValue(argc, argv, "--trace-out");
-  const char* timeline_csv_path = FlagValue(argc, argv, "--timeline-csv");
+  const char* report_path = args.Value("--emit-report");
+  const char* trace_path = args.Value("--trace-out");
+  const char* timeline_csv_path = args.Value("--timeline-csv");
   opts.collect_report =
       report_path != nullptr || trace_path != nullptr ||
       timeline_csv_path != nullptr;
@@ -213,8 +293,24 @@ int CmdResolve(int argc, char** argv) {
   if (trace_path != nullptr || timeline_csv_path != nullptr) {
     opts.timeline_interval_ms = 50;
   }
-  if (const char* v = FlagValue(argc, argv, "--timeline-interval-ms")) {
-    opts.timeline_interval_ms = std::strtoull(v, nullptr, 10);
+  if (!ParseFlag(args, "--timeline-interval-ms", &opts.timeline_interval_ms)) {
+    return Usage();
+  }
+  if (Status st = ValidateOptions(opts); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return Usage();
+  }
+  if (!MakeSimilarity(opts.metric)) {
+    std::fprintf(stderr, "unknown metric %s\n", opts.metric.c_str());
+    return Usage();
+  }
+
+  const char* input_path = args.positional[0].c_str();
+  auto ds = ReadDataset(input_path);
+  if (!ds.ok()) {
+    std::fprintf(stderr, "error reading %s: %s\n", input_path,
+                 ds.status().ToString().c_str());
+    return 3;
   }
 
   StatusOr<HeraResult> result =
@@ -230,7 +326,7 @@ int CmdResolve(int argc, char** argv) {
     return 3;
   }
 
-  const char* out_path = FlagValue(argc, argv, "--out");
+  const char* out_path = args.Value("--out");
   if (out_path != nullptr) {
     std::string csv = "record_id,entity_label\n";
     for (uint32_t r = 0; r < ds->size(); ++r) {
@@ -253,10 +349,10 @@ int CmdResolve(int argc, char** argv) {
   const HeraStats& st = result->stats;
   std::fprintf(stderr,
                "records=%zu entities=%zu index=%zu iterations=%zu "
-               "comparisons=%zu direct=%zu merges=%zu backend=%s time=%.1fms\n",
+               "comparisons=%zu direct=%zu merges=%zu time=%.1fms\n",
                ds->size(), result->super_records.size(), st.index_size,
                st.iterations, st.comparisons, st.direct_merges, st.merges,
-               IndexBackendToString(opts.index_backend), st.total_ms);
+               st.total_ms);
   int exit_code = 0;
   if (st.outcome != RunOutcome::kCompleted) {
     std::fprintf(stderr, "outcome=%s (run was governed; labeling is valid)\n",
@@ -323,20 +419,19 @@ int CmdResolve(int argc, char** argv) {
 }
 
 int CmdGenerate(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  std::string domain = argv[0];
-  std::string out_path = argv[1];
-  size_t records = 1000, entities = 150;
+  Args args;
+  size_t records = 1000, entities = 150, decoys = 0;
   uint64_t seed = 1;
-  if (const char* v = FlagValue(argc, argv, "--records")) {
-    records = std::strtoull(v, nullptr, 10);
+  if (!ParseArgs(argc, argv, "generate", 2,
+                 {"--records", "--entities", "--seed", "--decoys"}, {}, &args) ||
+      !ParseFlag(args, "--records", &records) ||
+      !ParseFlag(args, "--entities", &entities) ||
+      !ParseFlag(args, "--seed", &seed) ||
+      !ParseFlag(args, "--decoys", &decoys)) {
+    return Usage();
   }
-  if (const char* v = FlagValue(argc, argv, "--entities")) {
-    entities = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--seed")) {
-    seed = std::strtoull(v, nullptr, 10);
-  }
+  const std::string& domain = args.positional[0];
+  const std::string& out_path = args.positional[1];
   if (domain == "ambiguous") {
     // Verification-heavy corpus: every merge costs a KM verification,
     // decoys add verification-shaped non-matches. Record count follows
@@ -348,9 +443,7 @@ int CmdGenerate(int argc, char** argv) {
     AmbiguityGeneratorConfig config;
     config.num_entities = entities;
     config.seed = seed;
-    if (const char* v = FlagValue(argc, argv, "--decoys")) {
-      config.num_decoys = std::strtoull(v, nullptr, 10);
-    }
+    config.num_decoys = decoys;
     Dataset ds = GenerateAmbiguousDataset(config);
     Status st = WriteDataset(ds, out_path);
     if (!st.ok()) {
@@ -394,10 +487,12 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdStats(int argc, char** argv) {
-  if (argc < 1) return Usage();
-  auto ds = ReadDataset(argv[0]);
+  Args args;
+  if (!ParseArgs(argc, argv, "stats", 1, {}, {}, &args)) return Usage();
+  const char* input_path = args.positional[0].c_str();
+  auto ds = ReadDataset(input_path);
   if (!ds.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", argv[0],
+    std::fprintf(stderr, "error reading %s: %s\n", input_path,
                  ds.status().ToString().c_str());
     return 3;
   }
@@ -425,16 +520,6 @@ int CmdStats(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  if (const char* v = FlagValue(argc, argv, "--log-level")) {
-    LogLevel level;
-    if (!ParseLogLevel(v, &level)) {
-      std::fprintf(stderr,
-                   "unknown --log-level %s (want debug|info|warning|error|off)\n",
-                   v);
-      return 64;
-    }
-    SetLogLevel(level);
-  }
   std::string cmd = argv[1];
   if (cmd == "resolve") return CmdResolve(argc - 2, argv + 2);
   if (cmd == "generate") return CmdGenerate(argc - 2, argv + 2);

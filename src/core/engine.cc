@@ -38,7 +38,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     token_cache_ = std::make_shared<TokenCache>(pf->q());
     pf->SetTokenCache(token_cache_);
     pf->SetEncodedKernels(options_.use_encoded_kernels);
-    pf->SetIndexBackend(options_.index_backend, options_.flat_pipeline_depth);
     joiner_ = std::move(pf);
   } else {
     joiner_ = std::make_unique<NestedLoopJoin>();
@@ -52,7 +51,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     joiner_->SetExecutor(pool_.get());
   }
-  index_.SetBackend(options_.index_backend, options_.flat_pipeline_depth);
   index_.SetCeilings(guard_.max_index_pairs(), guard_.max_posting_list());
 #ifndef HERA_DISABLE_OBS
   // A timeline interval implies report collection: the samples land in
@@ -90,14 +88,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     c_frontier_groups_ = m.GetCounter("quality.frontier_groups");
     c_frontier_verified_ = m.GetCounter("quality.frontier_verified");
     c_frontier_deferred_ = m.GetCounter("quality.frontier_deferred");
-    // The backend and its pipeline depth land in the report as gauges,
-    // so a recorded run says which probe path produced its timings.
-    m.GetGauge("index.backend_flat")
-        ->Set(options_.index_backend == IndexBackend::kFlat ? 1.0 : 0.0);
-    m.GetGauge("flat.prefetch_depth")
-        ->Set(static_cast<double>(options_.flat_pipeline_depth));
-    c_flat_probes_ = m.GetCounter("flat.probes_batched");
-    c_flat_rehashes_ = m.GetCounter("flat.rehashes");
     // Which kernel tier actually ran (0 = scalar, 1 = sse4, 2 = avx2)
     // — the resolved tier, not the requested one, so a clamped-down
     // run is visible in its report. The kernel.* counters carry this
@@ -130,10 +120,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       });
       obs::Gauge* g_index = m.GetGauge("index.size");
       sampler_->AddProbe("index_size", [g_index] { return g_index->value(); });
-      obs::Counter* c_flat = c_flat_probes_;
-      sampler_->AddProbe("flat_probes_batched", [c_flat] {
-        return static_cast<double>(c_flat->value());
-      });
       if (token_cache_) {
         std::shared_ptr<TokenCache> tc = token_cache_;
         sampler_->AddProbe("token_cache_entries", [tc] {
@@ -220,10 +206,6 @@ void ResolutionEngine::NoteJoinReport(const JoinReport& report,
     m.GetCounter("simjoin.pruned_length")->Inc(report.pruned_length);
     m.GetCounter("simjoin.pruned_positional")->Inc(report.pruned_positional);
     m.GetCounter("simjoin.pruned_suffix")->Inc(report.pruned_suffix);
-    if (report.flat_probes_batched > 0) {
-      c_flat_probes_->Inc(report.flat_probes_batched);
-    }
-    if (report.flat_rehashes > 0) c_flat_rehashes_->Inc(report.flat_rehashes);
     if (h_worker_busy_us_ != nullptr) {
       for (double us : report.worker_busy_us) h_worker_busy_us_->Observe(us);
     }
@@ -544,7 +526,6 @@ Status ResolutionEngine::IterateToFixpoint() {
     struct GroupPlan {
       uint32_t i = 0, j = 0;  // Pass-start roots, i < j.
       bool same_root = false;
-      bool pairs_loaded = false;  // pairs came from the batched preload.
       bool loaded = false;    // pairs (and bounds, if any) computed.
       bool verified = false;  // vr holds a speculative KM result.
       std::vector<IndexedPair> pairs;
@@ -553,14 +534,12 @@ Status ResolutionEngine::IterateToFixpoint() {
       double verify_us = 0.0;
     };
     std::vector<GroupPlan> plans;
-    const bool flat_index = options_.index_backend == IndexBackend::kFlat;
     const bool parallel_phase_a =
         pool_ != nullptr && pool_->size() > 1 && groups.size() > 1;
     // Progressive mode needs every group's similarity upper bound
     // before Phase B starts (the frontier is ordered by it), so it
-    // forces plan-building even on the serial ordered path.
-    if ((parallel_phase_a || flat_index || options_.progressive) &&
-        !groups.empty()) {
+    // forces plan-building even on the serial path.
+    if ((parallel_phase_a || options_.progressive) && !groups.empty()) {
       // Roots are resolved serially: Find path-compresses.
       plans.resize(groups.size());
       for (size_t k = 0; k < groups.size(); ++k) {
@@ -570,30 +549,6 @@ Status ResolutionEngine::IterateToFixpoint() {
         plans[k].i = i;
         plans[k].j = j;
         plans[k].same_root = i == j;
-      }
-      if (flat_index) {
-        // Preload every live group's pairs in one batched sweep over
-        // the index — the pass's range lookups become a single
-        // prefetch-pipelined probe storm against pass-start state
-        // instead of |groups| pointer-chasing lookups scattered through
-        // the pass. Phase B's freshness checks below decide, group by
-        // group, whether the preloaded pairs are still adoptable.
-        std::vector<std::pair<uint32_t, uint32_t>> live;
-        std::vector<size_t> live_at;
-        live.reserve(groups.size());
-        live_at.reserve(groups.size());
-        for (size_t k = 0; k < groups.size(); ++k) {
-          if (plans[k].same_root) continue;
-          if (!active_.count(plans[k].i) || !active_.count(plans[k].j)) continue;
-          live.emplace_back(plans[k].i, plans[k].j);
-          live_at.push_back(k);
-        }
-        std::vector<std::vector<IndexedPair>> preloaded;
-        index_.PairsForBatch(live, &preloaded);
-        for (size_t n = 0; n < live_at.size(); ++n) {
-          plans[live_at[n]].pairs = std::move(preloaded[n]);
-          plans[live_at[n]].pairs_loaded = true;
-        }
       }
     }
     if (parallel_phase_a) {
@@ -610,7 +565,7 @@ Status ResolutionEngine::IterateToFixpoint() {
               auto it_i = active_.find(plan.i);
               auto it_j = active_.find(plan.j);
               if (it_i == active_.end() || it_j == active_.end()) continue;
-              if (!plan.pairs_loaded) plan.pairs = index_.PairsFor(plan.i, plan.j);
+              plan.pairs = index_.PairsFor(plan.i, plan.j);
               if (plan.pairs.empty()) {
                 plan.loaded = true;
                 continue;
@@ -643,26 +598,21 @@ Status ResolutionEngine::IterateToFixpoint() {
                                  trace_->tracer().iteration()});
         }
       }
-    } else if ((flat_index || options_.progressive) && !plans.empty()) {
-      // Serial path: finish the plans inline — bounds only;
+    } else if (options_.progressive && !plans.empty()) {
+      // Serial path: finish the plans inline — pairs and bounds only;
       // verification stays in Phase B against the live predictor
-      // state. Under the flat backend the pairs were batch-preloaded
-      // above; the serial ordered progressive path loads them here
-      // (the same PairsFor lookups Phase B would otherwise issue).
+      // state. These are the same PairsFor lookups Phase B would
+      // otherwise issue.
       for (GroupPlan& plan : plans) {
         if (plan.same_root) continue;
-        if (!plan.pairs_loaded) {
-          if (!active_.count(plan.i) || !active_.count(plan.j)) continue;
-          plan.pairs = index_.PairsFor(plan.i, plan.j);
-          plan.pairs_loaded = true;
-        }
+        auto it_i = active_.find(plan.i);
+        auto it_j = active_.find(plan.j);
+        if (it_i == active_.end() || it_j == active_.end()) continue;
+        plan.pairs = index_.PairsFor(plan.i, plan.j);
         if (plan.pairs.empty()) {
           plan.loaded = true;
           continue;
         }
-        auto it_i = active_.find(plan.i);
-        auto it_j = active_.find(plan.j);
-        assert(it_i != active_.end() && it_j != active_.end());
         plan.bounds = ComputeBounds(plan.pairs, it_i->second.num_fields(),
                                     it_j->second.num_fields(),
                                     options_.tight_bounds);
@@ -985,18 +935,6 @@ Status ResolutionEngine::IterateToFixpoint() {
     obs::Counter* probes = trace_->metrics().GetCounter("index.probes");
     uint64_t seen = index_.probe_count();
     if (seen > probes->value()) probes->Inc(seen - probes->value());
-    // Same for the index's flat side-table traffic; a seen-marker delta
-    // because join reports Inc the same counters directly.
-    const uint64_t fp = index_.flat_batched_probes();
-    if (fp > flat_index_probes_seen_) {
-      c_flat_probes_->Inc(fp - flat_index_probes_seen_);
-      flat_index_probes_seen_ = fp;
-    }
-    const uint64_t fr = index_.flat_rehashes();
-    if (fr > flat_index_rehashes_seen_) {
-      c_flat_rehashes_->Inc(fr - flat_index_rehashes_seen_);
-      flat_index_rehashes_seen_ = fr;
-    }
     SyncKernelMetrics();
   }
 
@@ -1081,10 +1019,6 @@ void ResolutionEngine::RestoreState(const persist::EngineState& state) {
   if (trace_) {
     trace_->SetTimeBaseMs(stats_.index_build_ms + stats_.total_ms);
   }
-  // Keep the seen-markers <= the index's counters after the restore
-  // (restore-time inserts may have rehashed).
-  flat_index_probes_seen_ = index_.flat_batched_probes();
-  flat_index_rehashes_seen_ = index_.flat_rehashes();
   indexed_watermark_ = state.indexed_watermark;
   join_shed_posting_ = static_cast<size_t>(state.join_shed_posting);
   simplified_nodes_sum_ = state.simplified_nodes_sum;

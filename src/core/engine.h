@@ -256,13 +256,6 @@ class ResolutionEngine {
   obs::Counter* c_frontier_groups_ = nullptr;
   obs::Counter* c_frontier_verified_ = nullptr;
   obs::Counter* c_frontier_deferred_ = nullptr;
-  /// Flat-backend traffic (flat.probes_batched / flat.rehashes). Join
-  /// reports Inc these directly; the value-pair index's cumulative
-  /// totals are folded in via the seen-markers below.
-  obs::Counter* c_flat_probes_ = nullptr;
-  obs::Counter* c_flat_rehashes_ = nullptr;
-  uint64_t flat_index_probes_seen_ = 0;
-  uint64_t flat_index_rehashes_seen_ = 0;
   /// Process-global kernel counter values at engine construction; the
   /// kernel.* report counters carry this engine's deltas only.
   KernelCounterSnapshot kernel_counters_base_;

@@ -161,7 +161,6 @@ StatusOr<std::vector<ValuePair>> ComputeSimilarValuePairs(
     PrefixFilterJoin join(metric_q > 0 ? metric_q : 2);
     join.SetExecutor(pool.get());
     join.SetEncodedKernels(options.use_encoded_kernels);
-    join.SetIndexBackend(options.index_backend, options.flat_pipeline_depth);
     if (options.enable_pair_sim_cache) {
       join.SetPairSimCache(std::make_shared<PairSimCache>(
           simv->Name(), options.pair_sim_cache_capacity));

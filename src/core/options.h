@@ -11,7 +11,6 @@
 
 #include "common/run_guard.h"
 #include "common/status.h"
-#include "index/flat_table.h"
 #include "sim/kernel_dispatch.h"
 #include "sim/similarity.h"
 
@@ -70,22 +69,6 @@ struct HeraOptions {
   /// cache degrades to a pass-through. ~48 bytes + key text per entry.
   size_t pair_sim_cache_capacity = 1u << 20;
 
-  /// Hash backend for candidate generation and index-side pid lookups
-  /// (index/flat_table.h): kOrdered keeps the node-based std
-  /// containers; kFlat routes the join's gram dictionary and posting
-  /// table plus the value-pair index's pid side table through a flat
-  /// open-addressing table with batched, prefetch-pipelined probes.
-  /// Purely a speed knob: labels, merge_sequence, and snapshots are
-  /// byte-identical either way, at every thread count. See
-  /// docs/performance.md ("Flat index backend").
-  IndexBackend index_backend = IndexBackend::kOrdered;
-
-  /// In-flight probes per batched flat-table lookup (ignored under
-  /// kOrdered). Must lie in [1, FlatTable::kMaxPipelineDepth]. 8 covers
-  /// DRAM latency on typical cores; raise toward 16–32 for very large
-  /// indexes, lower toward 1–4 when the table fits in L2.
-  size_t flat_pipeline_depth = FlatTable::kDefaultPipelineDepth;
-
   /// Enables the schema-based method (Section IV-B): majority voting
   /// over field-match predictions, with decided matchings forced into
   /// later field matching sets.
@@ -114,7 +97,8 @@ struct HeraOptions {
   /// Results are deterministic for any value: completed runs produce
   /// byte-identical pair lists, merge sequences, and clusters at every
   /// thread count (see docs/performance.md). Merge application and
-  /// vote updates always stay on the controller thread.
+  /// vote updates always stay on the controller thread. At most
+  /// kMaxNumThreads.
   size_t num_threads = 0;
 
   /// Run governance: deadline, cancellation token, resource ceilings.
@@ -168,7 +152,7 @@ struct HeraOptions {
   /// them up and converges to the same labels as an uninterrupted run.
   /// Ungoverned progressive runs keep canonical order — labels and
   /// merge_sequence stay byte-identical to progressive=false at every
-  /// thread count and index backend. See docs/operational_limits.md
+  /// thread count. See docs/operational_limits.md
   /// ("Progressive mode").
   bool progressive = false;
 
@@ -180,9 +164,15 @@ struct HeraOptions {
   size_t frontier_capacity = 0;
 };
 
+/// Ceiling on HeraOptions::num_threads. The worker pool spawns exactly
+/// that many threads, so an unbounded value (a negative count parsed
+/// as unsigned, say) would exhaust the process before any work runs.
+inline constexpr size_t kMaxNumThreads = 1024;
+
 /// Checks option ranges: xi, delta in [0, 1]; vote_prior_p in
-/// (0.5, 1]; vote_rho > 0; max_iterations > 0. The metric name is
-/// checked separately at resolution time. Run/RunWithPairs/
+/// (0.5, 1]; vote_rho > 0; max_iterations > 0; num_threads <=
+/// kMaxNumThreads. The metric name is checked separately at resolution
+/// time. Run/RunWithPairs/ComputeSimilarValuePairs/
 /// IncrementalHera::Create call this and refuse to start on violation.
 Status ValidateOptions(const HeraOptions& options);
 

@@ -6,20 +6,9 @@
 
 namespace hera {
 
-void ValuePairIndex::SetBackend(IndexBackend backend, size_t pipeline_depth) {
-  assert(pairs_.empty() && "SetBackend must run before any pairs are added");
-  backend_ = backend;
-  by_pid_flat_ = FlatTable(0, pipeline_depth);
-  key_slab_.clear();
-  free_slots_.clear();
-}
-
 void ValuePairIndex::Build(const std::vector<ValuePair>& pairs) {
   pairs_.clear();
   by_pid_.clear();
-  by_pid_flat_.Clear();
-  key_slab_.clear();
-  free_slots_.clear();
   touching_.clear();
   next_pid_ = 0;
   shed_pairs_ = 0;
@@ -53,48 +42,18 @@ void ValuePairIndex::AddPairs(const std::vector<ValuePair>& pairs) {
 void ValuePairIndex::Insert(uint64_t pid, ValueLabel a, ValueLabel b, double sim) {
   Key key{a.rid, b.rid, -sim, pid};
   pairs_.emplace(key, Entry{a, b, sim});
-  if (backend_ == IndexBackend::kFlat) {
-    uint64_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      key_slab_[slot] = key;
-    } else {
-      slot = key_slab_.size();
-      key_slab_.push_back(key);
-    }
-    *by_pid_flat_.FindOrInsert(pid, slot) = slot;
-  } else {
-    by_pid_.emplace(pid, key);
-  }
+  by_pid_.emplace(pid, key);
   touching_[a.rid].insert(pid);
   touching_[b.rid].insert(pid);
 }
 
 void ValuePairIndex::Erase(uint64_t pid) {
-  Key key = KeyOf(pid);
-  auto pit = pairs_.find(key);
+  auto pit = pairs_.find(by_pid_.at(pid));
   assert(pit != pairs_.end());
   touching_[pit->second.a.rid].erase(pid);
   touching_[pit->second.b.rid].erase(pid);
   pairs_.erase(pit);
-  if (backend_ == IndexBackend::kFlat) {
-    const uint64_t* slot = by_pid_flat_.Find(pid);
-    assert(slot != nullptr);
-    free_slots_.push_back(*slot);
-    by_pid_flat_.Erase(pid);
-  } else {
-    by_pid_.erase(pid);
-  }
-}
-
-ValuePairIndex::Key ValuePairIndex::KeyOf(uint64_t pid) const {
-  if (backend_ == IndexBackend::kFlat) {
-    const uint64_t* slot = by_pid_flat_.Find(pid);
-    assert(slot != nullptr);
-    return key_slab_[*slot];
-  }
-  return by_pid_.at(pid);
+  by_pid_.erase(pid);
 }
 
 std::vector<IndexedPair> ValuePairIndex::PairsFor(uint32_t i, uint32_t j) const {
@@ -107,25 +66,6 @@ std::vector<IndexedPair> ValuePairIndex::PairsFor(uint32_t i, uint32_t j) const 
     out.push_back({it->first.pid, it->second.a, it->second.b, it->second.sim});
   }
   return out;
-}
-
-void ValuePairIndex::PairsForBatch(
-    const std::vector<std::pair<uint32_t, uint32_t>>& groups,
-    std::vector<std::vector<IndexedPair>>* out) const {
-  probe_count_.Inc(groups.size());
-  out->clear();
-  out->resize(groups.size());
-  for (size_t k = 0; k < groups.size(); ++k) {
-    uint32_t i = groups[k].first, j = groups[k].second;
-    if (i > j) std::swap(i, j);
-    Key lo{i, j, -2.0, 0};
-    std::vector<IndexedPair>& dst = (*out)[k];
-    for (auto it = pairs_.lower_bound(lo);
-         it != pairs_.end() && it->first.rid1 == i && it->first.rid2 == j;
-         ++it) {
-      dst.push_back({it->first.pid, it->second.a, it->second.b, it->second.sim});
-    }
-  }
 }
 
 void ValuePairIndex::ForEachGroup(
@@ -163,26 +103,8 @@ void ValuePairIndex::ApplyMerge(
   std::sort(affected.begin(), affected.end());
   affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
 
-  // Snapshot the keys too, before any Erase/Insert mutates the side
-  // table: under the flat backend this is one pipelined FindBatch over
-  // every affected pid instead of |affected| dependent scalar lookups.
-  std::vector<Key> keys(affected.size());
-  if (backend_ == IndexBackend::kFlat) {
-    std::vector<const uint64_t*> slots(affected.size());
-    by_pid_flat_.FindBatch(affected, slots);
-    for (size_t k = 0; k < affected.size(); ++k) {
-      assert(slots[k] != nullptr);
-      keys[k] = key_slab_[*slots[k]];
-    }
-  } else {
-    for (size_t k = 0; k < affected.size(); ++k) {
-      keys[k] = by_pid_.at(affected[k]);
-    }
-  }
-
-  for (size_t k = 0; k < affected.size(); ++k) {
-    const uint64_t pid = affected[k];
-    Entry entry = pairs_.at(keys[k]);
+  for (uint64_t pid : affected) {
+    Entry entry = pairs_.at(by_pid_.at(pid));
     auto rewrite = [&](ValueLabel& label) {
       if (label.rid != rid_i && label.rid != rid_j) return;
       auto it = relabel.find(label);
@@ -222,9 +144,6 @@ void ValuePairIndex::RestoreState(const std::vector<IndexedPair>& pairs,
                                   uint64_t probe_count) {
   pairs_.clear();
   by_pid_.clear();
-  by_pid_flat_.Clear();
-  key_slab_.clear();
-  free_slots_.clear();
   touching_.clear();
   for (const IndexedPair& p : pairs) {
     assert(p.a.rid < p.b.rid);
@@ -237,32 +156,14 @@ void ValuePairIndex::RestoreState(const std::vector<IndexedPair>& pairs,
 }
 
 bool ValuePairIndex::CheckInvariants() const {
-  const size_t side_size = backend_ == IndexBackend::kFlat
-                               ? by_pid_flat_.size()
-                               : by_pid_.size();
-  if (side_size != pairs_.size()) return false;
-  if (backend_ == IndexBackend::kFlat) {
-    // Every live slot plus every free slot accounts for the slab.
-    if (by_pid_flat_.size() + free_slots_.size() != key_slab_.size()) {
-      return false;
-    }
-  } else {
-    if (by_pid_flat_.size() != 0 || !key_slab_.empty()) return false;
-  }
+  if (by_pid_.size() != pairs_.size()) return false;
   for (const auto& [key, entry] : pairs_) {
     if (entry.a.rid >= entry.b.rid) return false;
     if (key.rid1 != entry.a.rid || key.rid2 != entry.b.rid) return false;
     if (key.neg_sim != -entry.sim) return false;
-    Key k2;
-    if (backend_ == IndexBackend::kFlat) {
-      const uint64_t* slot = by_pid_flat_.Find(key.pid);
-      if (slot == nullptr || *slot >= key_slab_.size()) return false;
-      k2 = key_slab_[*slot];
-    } else {
-      auto it = by_pid_.find(key.pid);
-      if (it == by_pid_.end()) return false;
-      k2 = it->second;
-    }
+    auto it = by_pid_.find(key.pid);
+    if (it == by_pid_.end()) return false;
+    const Key& k2 = it->second;
     if (k2.rid1 != key.rid1 || k2.rid2 != key.rid2 ||
         k2.neg_sim != key.neg_sim || k2.pid != key.pid) {
       return false;

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "index/flat_table.h"
 #include "simjoin/similarity_join.h"
 
 namespace hera {
@@ -73,16 +72,6 @@ class ValuePairIndex {
   ValuePairIndex(ValuePairIndex&&) noexcept = default;
   ValuePairIndex& operator=(ValuePairIndex&&) noexcept = default;
 
-  /// Selects the pid-lookup backend. kFlat mirrors the pid -> key map
-  /// into a flat open-addressing side table whose merge-maintenance
-  /// lookups batch through the prefetch pipeline (`pipeline_depth`
-  /// probes in flight). Contents and iteration order are identical
-  /// either way — a speed knob only. Must be called while the index is
-  /// empty (the engine sets it at construction).
-  void SetBackend(IndexBackend backend,
-                  size_t pipeline_depth = FlatTable::kDefaultPipelineDepth);
-  IndexBackend backend() const { return backend_; }
-
   /// Installs resource ceilings (0 = unlimited): `max_pairs` caps the
   /// total pair count, `max_per_record` caps one record's posting list
   /// (pairs touching it). AddPairs rejects pairs beyond a ceiling and
@@ -116,15 +105,6 @@ class ValuePairIndex {
   /// Order of i and j does not matter.
   std::vector<IndexedPair> PairsFor(uint32_t i, uint32_t j) const;
 
-  /// Batched PairsFor: the paper's binary_search_l/r range lookup for
-  /// every (i, j) group in `groups`, written to (*out)[k] in group
-  /// order ((*out) is resized and overwritten). Counts one probe per
-  /// group, exactly like scalar PairsFor calls. The engine preloads a
-  /// pass's candidate groups through this in one sweep when the flat
-  /// backend is selected.
-  void PairsForBatch(const std::vector<std::pair<uint32_t, uint32_t>>& groups,
-                     std::vector<std::vector<IndexedPair>>* out) const;
-
   /// Visits every non-empty (rid1, rid2) group in index order; `pairs`
   /// is sorted by descending similarity. Candidate generation is one
   /// pass over this (Proposition 2).
@@ -147,10 +127,6 @@ class ValuePairIndex {
   /// PairsFor lookups served since construction (probe traffic; never
   /// reset by Build).
   size_t probe_count() const { return probe_count_.value(); }
-
-  /// Flat side-table traffic for the obs layer (0 under ordered).
-  uint64_t flat_batched_probes() const { return by_pid_flat_.batched_probes(); }
-  uint64_t flat_rehashes() const { return by_pid_flat_.rehashes(); }
 
   /// All pairs in index order (for tests / checkpoint export).
   std::vector<IndexedPair> Dump() const;
@@ -195,19 +171,10 @@ class ValuePairIndex {
 
   void Insert(uint64_t pid, ValueLabel a, ValueLabel b, double sim);
   void Erase(uint64_t pid);
-  /// pid -> sort key, served by whichever backend is live.
-  Key KeyOf(uint64_t pid) const;
 
   std::map<Key, Entry> pairs_;
-  IndexBackend backend_ = IndexBackend::kOrdered;
-  /// Ordered backend's pid -> key map (empty under kFlat).
+  /// pid -> sort key.
   std::unordered_map<uint64_t, Key> by_pid_;
-  /// Flat backend: pid -> slot into key_slab_ (Key is 24 bytes, so the
-  /// uint64-valued table indirects through a slab; freed slots are
-  /// recycled). Both empty under kOrdered.
-  FlatTable by_pid_flat_;
-  std::vector<Key> key_slab_;
-  std::vector<uint64_t> free_slots_;
   // rid -> pids of pairs touching that record; drives ApplyMerge.
   std::unordered_map<uint32_t, std::unordered_set<uint64_t>> touching_;
   uint64_t next_pid_ = 0;

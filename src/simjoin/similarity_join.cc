@@ -16,6 +16,15 @@
 #include "text/normalize.h"
 #include "text/qgram.h"
 
+// Read-prefetch hint for posting-list heads and candidate token sets;
+// a no-op on compilers without __builtin_prefetch. A hint only, never
+// a semantic.
+#if defined(__GNUC__) || defined(__clang__)
+#define HERA_PREFETCH_READ(addr) __builtin_prefetch((addr), 0, 1)
+#else
+#define HERA_PREFETCH_READ(addr) ((void)sizeof(addr))
+#endif
+
 namespace hera {
 
 std::vector<ValuePair> SimilarityJoin::Join(
@@ -510,7 +519,7 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
 
   // Phase 2 (serial): dictionary build + encoding both mutate the
   // dictionary, so they stay on the controller thread.
-  QgramDictionary dict(q_, backend_, pipeline_depth_);
+  QgramDictionary dict(q_);
   for (size_t i : string_idx) dict.AddGrams(grams_of(i));
   dict.Freeze();
 
@@ -541,64 +550,31 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
     size_t si;   // Index into `sets`.
     size_t pos;  // Prefix position of the token within sets[si].ids.
   };
-  // The posting map is backend-selected: the ordered path keys lists
-  // directly in an unordered_map; the flat path keeps lists in a dense
-  // slab and maps token id -> slab slot through a FlatTable, so probes
-  // can batch through the prefetch pipeline. Build order, shed
-  // decisions, and each list's contents are identical either way.
-  const bool flat = backend_ == IndexBackend::kFlat;
-  constexpr uint64_t kNoSlot = ~0ull;
   std::vector<size_t> prefix_len(sets.size());
   std::unordered_map<uint32_t, std::vector<Posting>> postings;
-  FlatTable posting_of(0, pipeline_depth_);  // token id -> slab slot.
-  std::vector<std::vector<Posting>> posting_store;
-  {
-    std::vector<uint64_t> key_buf;
-    std::vector<uint64_t*> slot_buf;
-    for (size_t si = 0; si < sets.size(); ++si) {
-      prefix_len[si] = PrefixLen(sets[si].ids.size(), filter_xi);
-      if (flat) {
-        key_buf.assign(sets[si].ids.begin(),
-                       sets[si].ids.begin() + prefix_len[si]);
-        slot_buf.resize(key_buf.size());
-        posting_of.FindOrInsertBatch(key_buf, kNoSlot, slot_buf);
-        for (size_t pi = 0; pi < prefix_len[si]; ++pi) {
-          uint64_t* slot = slot_buf[pi];
-          if (*slot == kNoSlot) {
-            *slot = posting_store.size();
-            posting_store.emplace_back();
-          }
-          std::vector<Posting>& list = posting_store[*slot];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({si, pi});
-        }
-      } else {
-        for (size_t pi = 0; pi < prefix_len[si]; ++pi) {
-          std::vector<Posting>& list = postings[sets[si].ids[pi]];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({si, pi});
-        }
+  for (size_t si = 0; si < sets.size(); ++si) {
+    prefix_len[si] = PrefixLen(sets[si].ids.size(), filter_xi);
+    for (size_t pi = 0; pi < prefix_len[si]; ++pi) {
+      std::vector<Posting>& list = postings[sets[si].ids[pi]];
+      if (max_posting > 0 && list.size() >= max_posting) {
+        ++shed_posting;
+        continue;
       }
+      list.push_back({si, pi});
     }
   }
 
   // Phase 4 (parallel): probing. Candidates for set si are earlier
   // (shorter-or-equal) sets sharing a prefix token and passing the
   // length filter |y| >= filter_xi * |x|. Dedup markers, candidate
-  // buffers, and list/key scratch are per-worker and reused across
+  // buffers, and list scratch are per-worker and reused across
   // chunks; marker values are probe indices, which are globally
   // unique, so no resets are needed. Each record gathers its posting
-  // lists first (one batched flat probe or one map lookup per prefix
-  // token), which sizes the candidate buffer from the posting lengths
-  // and lets the flat path prefetch the list heads before the scan.
-  // The guard is hoisted to a per-record stride (weighted by the
-  // record's work, so the check cadence is unchanged).
+  // lists first (one map lookup per prefix token), which sizes the
+  // candidate buffer from the posting lengths and prefetches the list
+  // heads before the scan. The guard is hoisted to a per-record stride
+  // (weighted by the record's work, so the check cadence is
+  // unchanged).
   {
     const size_t n = sets.size();
     const size_t grain = DefaultGrain(n, nworkers);
@@ -607,8 +583,6 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
                                              std::vector<size_t>(n, SIZE_MAX));
     std::vector<std::vector<size_t>> cand_bufs(nworkers);
     std::vector<std::vector<const std::vector<Posting>*>> list_bufs(nworkers);
-    std::vector<std::vector<uint64_t>> key_bufs(nworkers);
-    std::vector<std::vector<const uint64_t*>> slot_bufs(nworkers);
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, n, grain,
@@ -629,22 +603,9 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
             const double min_len =
                 filter_xi * static_cast<double>(x.ids.size());
             lists.clear();
-            if (flat) {
-              std::vector<uint64_t>& keys = key_bufs[worker];
-              std::vector<const uint64_t*>& slots = slot_bufs[worker];
-              keys.assign(x.ids.begin(), x.ids.begin() + prefix);
-              slots.resize(prefix);
-              posting_of.FindBatch(keys, slots);
-              for (size_t pi = 0; pi < prefix; ++pi) {
-                lists.push_back(slots[pi] != nullptr
-                                    ? &posting_store[*slots[pi]]
-                                    : nullptr);
-              }
-            } else {
-              for (size_t pi = 0; pi < prefix; ++pi) {
-                auto it = postings.find(x.ids[pi]);
-                lists.push_back(it == postings.end() ? nullptr : &it->second);
-              }
+            for (size_t pi = 0; pi < prefix; ++pi) {
+              auto it = postings.find(x.ids[pi]);
+              lists.push_back(it == postings.end() ? nullptr : &it->second);
             }
             size_t expected = 0;
             for (const std::vector<Posting>* list : lists) {
@@ -722,11 +683,6 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
   const size_t token_pairs = sets.size() * (sets.size() - (sets.empty() ? 0 : 1)) / 2;
   FinishReport(report, totals, stop.load(std::memory_order_relaxed),
                shed_posting, token_pairs, *out);
-  if (report != nullptr) {
-    report->flat_probes_batched =
-        dict.flat_batched_probes() + posting_of.batched_probes();
-    report->flat_rehashes = dict.flat_rehashes() + posting_of.rehashes();
-  }
   return Status::OK();
 }
 
@@ -894,7 +850,7 @@ Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
   };
 
   // Phase 2 (serial): dictionary build; mutates the dictionary.
-  QgramDictionary dict(q_, backend_, pipeline_depth_);
+  QgramDictionary dict(q_);
   for (size_t i = 0; i < base.size(); ++i) {
     if (!base_norm[i].empty()) dict.AddGrams(base_grams(i));
   }
@@ -912,48 +868,18 @@ Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
     size_t bi;
     size_t pos;
   };
-  // Backend-selected posting map, as in Join(): flat keeps the lists
-  // in a dense slab keyed through a FlatTable so probe-side lookups
-  // can batch; contents and shed decisions are identical either way.
-  const bool flat = backend_ == IndexBackend::kFlat;
-  constexpr uint64_t kNoSlot = ~0ull;
   std::unordered_map<uint32_t, std::vector<Posting>> postings;
-  FlatTable posting_of(0, pipeline_depth_);  // token id -> slab slot.
-  std::vector<std::vector<Posting>> posting_store;
   std::vector<std::vector<uint32_t>> base_ids(base.size());
-  {
-    std::vector<uint64_t> key_buf;
-    std::vector<uint64_t*> slot_buf;
-    for (size_t i = 0; i < base.size(); ++i) {
-      if (base_norm[i].empty()) continue;
-      base_ids[i] = dict.EncodeGrams(base_grams(i));
-      if (flat) {
-        key_buf.assign(base_ids[i].begin(), base_ids[i].end());
-        slot_buf.resize(key_buf.size());
-        posting_of.FindOrInsertBatch(key_buf, kNoSlot, slot_buf);
-        for (size_t pos = 0; pos < base_ids[i].size(); ++pos) {
-          uint64_t* slot = slot_buf[pos];
-          if (*slot == kNoSlot) {
-            *slot = posting_store.size();
-            posting_store.emplace_back();
-          }
-          std::vector<Posting>& list = posting_store[*slot];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({i, pos});
-        }
-      } else {
-        for (size_t pos = 0; pos < base_ids[i].size(); ++pos) {
-          std::vector<Posting>& list = postings[base_ids[i][pos]];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({i, pos});
-        }
+  for (size_t i = 0; i < base.size(); ++i) {
+    if (base_norm[i].empty()) continue;
+    base_ids[i] = dict.EncodeGrams(base_grams(i));
+    for (size_t pos = 0; pos < base_ids[i].size(); ++pos) {
+      std::vector<Posting>& list = postings[base_ids[i][pos]];
+      if (max_posting > 0 && list.size() >= max_posting) {
+        ++shed_posting;
+        continue;
       }
+      list.push_back({i, pos});
     }
   }
 
@@ -969,9 +895,9 @@ Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
   // Phase 4 (parallel): probing; per-worker last-probe markers (probe
   // indices are globally unique, so markers never need resetting).
   // Each probe gathers its prefix tokens' posting lists up front (one
-  // batched flat lookup or one map find per token, with list-head
-  // prefetch), and the guard runs at a per-probe stride weighted by
-  // the gathered work instead of inside the posting scan.
+  // map find per token, with list-head prefetch), and the guard runs
+  // at a per-probe stride weighted by the gathered work instead of
+  // inside the posting scan.
   {
     const size_t n = probe.size();
     const size_t grain = DefaultGrain(n, nworkers);
@@ -979,8 +905,6 @@ Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
     std::vector<std::vector<size_t>> markers(
         nworkers, std::vector<size_t>(base.size(), SIZE_MAX));
     std::vector<std::vector<const std::vector<Posting>*>> list_bufs(nworkers);
-    std::vector<std::vector<uint64_t>> key_bufs(nworkers);
-    std::vector<std::vector<const uint64_t*>> slot_bufs(nworkers);
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, n, grain,
@@ -1004,23 +928,9 @@ Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
                 filter_xi > 0.0 ? static_cast<double>(len_x) / filter_xi
                                 : std::numeric_limits<double>::infinity();
             lists.clear();
-            if (flat) {
-              std::vector<uint64_t>& keys = key_bufs[worker];
-              std::vector<const uint64_t*>& slots = slot_bufs[worker];
-              keys.clear();
-              for (size_t k = 0; k < prefix; ++k) keys.push_back(ids[k]);
-              slots.resize(prefix);
-              posting_of.FindBatch(keys, slots);
-              for (size_t k = 0; k < prefix; ++k) {
-                lists.push_back(slots[k] != nullptr
-                                    ? &posting_store[*slots[k]]
-                                    : nullptr);
-              }
-            } else {
-              for (size_t k = 0; k < prefix; ++k) {
-                auto it = postings.find(ids[k]);
-                lists.push_back(it == postings.end() ? nullptr : &it->second);
-              }
+            for (size_t k = 0; k < prefix; ++k) {
+              auto it = postings.find(ids[k]);
+              lists.push_back(it == postings.end() ? nullptr : &it->second);
             }
             size_t scan_work = 0;
             for (const std::vector<Posting>* list : lists) {
@@ -1081,11 +991,6 @@ Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
   }
   FinishReport(report, totals, stop.load(std::memory_order_relaxed),
                shed_posting, probe_tokenized * base_tokenized, *out);
-  if (report != nullptr) {
-    report->flat_probes_batched =
-        dict.flat_batched_probes() + posting_of.batched_probes();
-    report->flat_rehashes = dict.flat_rehashes() + posting_of.rehashes();
-  }
   return Status::OK();
 }
 

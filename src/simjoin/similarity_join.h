@@ -10,7 +10,6 @@
 
 #include "common/run_guard.h"
 #include "common/status.h"
-#include "index/flat_table.h"
 #include "parallel/thread_pool.h"
 #include "record/super_record.h"
 #include "sim/pair_cache.h"
@@ -73,12 +72,6 @@ struct JoinReport {
   size_t pruned_length = 0;
   size_t pruned_positional = 0;
   size_t pruned_suffix = 0;
-  /// Keys probed through the flat backend's batched entry points
-  /// (gram dictionary + posting table); 0 under the ordered backend.
-  size_t flat_probes_batched = 0;
-  /// Flat-table capacity doublings during this join's dictionary and
-  /// posting-table builds; 0 under the ordered backend.
-  size_t flat_rehashes = 0;
   /// Worker threads the join's parallel phases ran on (1 = serial).
   size_t threads_used = 1;
   /// Per-worker busy microseconds summed across the join's parallel
@@ -235,23 +228,6 @@ class PrefixFilterJoin : public SimilarityJoin {
   /// must be built with the same q).
   int q() const { return q_; }
 
-  /// Selects the hash backend for the join's gram dictionary and token
-  /// posting table. kFlat batches each record's prefix-token probes
-  /// through FlatTable's software-prefetch pipeline (index/flat_table.h)
-  /// with `pipeline_depth` probes in flight; candidate order, emitted
-  /// pairs, and shed decisions are byte-identical to kOrdered — the
-  /// backend is a speed knob only. The gram dictionary falls back to
-  /// ordered when q > kMaxPackedGramLen (the posting table, keyed on
-  /// integer ids, stays flat).
-  void SetIndexBackend(
-      IndexBackend backend,
-      size_t pipeline_depth = FlatTable::kDefaultPipelineDepth) {
-    backend_ = backend;
-    pipeline_depth_ = pipeline_depth;
-  }
-  IndexBackend index_backend() const { return backend_; }
-  size_t pipeline_depth() const { return pipeline_depth_; }
-
   /// Toggles the integer-encoded verification kernels (sim/kernel.h)
   /// and the PPJoin+-style positional/suffix filters that ride on
   /// them. On (the default), kernel-eligible metrics (Jaccard / Dice /
@@ -281,8 +257,6 @@ class PrefixFilterJoin : public SimilarityJoin {
   int q_;
   double filter_slack_;
   bool encoded_kernels_ = true;
-  IndexBackend backend_ = IndexBackend::kOrdered;
-  size_t pipeline_depth_ = FlatTable::kDefaultPipelineDepth;
   std::shared_ptr<TokenCache> cache_;
 };
 

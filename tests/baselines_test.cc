@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <utility>
 #include <vector>
@@ -108,6 +109,10 @@ struct BaselineCase {
   const char* name;
   std::vector<uint32_t> (*run)(const Dataset&, const ValueSimilarity&);
 };
+
+// Prints the baseline's name, so the reported test name is stable across
+// runs instead of holding the addresses of `name` and `run`.
+void PrintTo(const BaselineCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<uint32_t> RunRSwoosh(const Dataset& ds, const ValueSimilarity& m) {
   return RSwoosh(ds, m, {0.5, 0.6});

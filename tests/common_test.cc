@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -232,6 +233,13 @@ struct NumericCase {
   const char* input;
   bool expected;
 };
+
+// Prints the case by value, so the reported test name is stable across
+// runs instead of holding the address of `input`.
+void PrintTo(const NumericCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.input))
+      << (c.expected ? " is numeric" : " is not numeric");
+}
 
 class LooksNumericTest : public ::testing::TestWithParam<NumericCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include "data/csv.h"
@@ -23,6 +24,12 @@ struct EscapeCase {
   const char* raw;
   const char* escaped;
 };
+
+// Prints the raw field, so the test name gtest and ctest report is the
+// case itself rather than the bytes of its pointers, which vary per run.
+void PrintTo(const EscapeCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.raw));
+}
 
 class CsvEscapeTest : public ::testing::TestWithParam<EscapeCase> {};
 

@@ -224,6 +224,87 @@ TEST(ValuePairIndexTest, RandomizedMergeMaintainsInvariants) {
   }
 }
 
+std::vector<ValuePair> RandomPairs(Rng* rng, size_t n, uint32_t num_records) {
+  std::vector<ValuePair> pairs;
+  while (pairs.size() < n) {
+    uint32_t r1 = static_cast<uint32_t>(rng->Uniform(num_records));
+    uint32_t r2 = static_cast<uint32_t>(rng->Uniform(num_records));
+    if (r1 == r2) continue;
+    pairs.push_back(MakePair(r1, static_cast<uint32_t>(rng->Uniform(3)),
+                             static_cast<uint32_t>(rng->Uniform(2)), r2,
+                             static_cast<uint32_t>(rng->Uniform(3)),
+                             static_cast<uint32_t>(rng->Uniform(2)),
+                             static_cast<double>(rng->Uniform(100)) / 100.0));
+  }
+  return pairs;
+}
+
+bool SameDump(const std::vector<IndexedPair>& a,
+              const std::vector<IndexedPair>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].pid != b[i].pid || a[i].sim != b[i].sim ||
+        !(a[i].a == b[i].a) || !(a[i].b == b[i].b)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Regression for the move-assignment bug: the hand-written member-wise
+// move had to list every field and silently dropped newly added ones.
+// With MovableAtomicCounter the moves are defaulted — moving must carry
+// *all* state, including the counters.
+TEST(ValuePairIndexTest, MoveCarriesFullState) {
+  Rng rng(5);
+  ValuePairIndex index;
+  index.SetCeilings(100, 0);
+  index.Build(RandomPairs(&rng, 150, 20));  // 50 shed by the ceiling.
+  (void)index.PairsFor(1, 2);
+  (void)index.PairsFor(3, 4);
+  const auto dump = index.Dump();
+  const size_t size = index.size();
+  const size_t shed = index.shed_pairs();
+  const size_t probes = index.probe_count();
+  const uint64_t next_pid = index.next_pid();
+
+  ValuePairIndex moved(std::move(index));
+  EXPECT_EQ(moved.size(), size);
+  EXPECT_EQ(moved.shed_pairs(), shed);
+  EXPECT_EQ(moved.probe_count(), probes);
+  EXPECT_EQ(moved.next_pid(), next_pid);
+  EXPECT_TRUE(moved.CheckInvariants());
+  EXPECT_TRUE(SameDump(moved.Dump(), dump));
+
+  ValuePairIndex assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), size);
+  EXPECT_EQ(assigned.shed_pairs(), shed);
+  EXPECT_EQ(assigned.probe_count(), probes);
+  EXPECT_TRUE(assigned.CheckInvariants());
+  EXPECT_TRUE(SameDump(assigned.Dump(), dump));
+  // The moved-to index keeps working: probes still land.
+  (void)assigned.PairsFor(0, 1);
+  EXPECT_EQ(assigned.probe_count(), probes + 1);
+}
+
+TEST(ValuePairIndexTest, RestoreStateKeepsPidsAndCounters) {
+  Rng rng(88);
+  ValuePairIndex index;
+  index.Build(RandomPairs(&rng, 200, 25));
+  const auto dump = index.Dump();
+  const uint64_t next_pid = index.next_pid();
+
+  ValuePairIndex restored;
+  restored.RestoreState(dump, next_pid, 3, 4, 17);
+  EXPECT_TRUE(restored.CheckInvariants());
+  EXPECT_TRUE(SameDump(restored.Dump(), dump));
+  EXPECT_EQ(restored.shed_pairs(), 3u);
+  EXPECT_EQ(restored.shed_posting_entries(), 4u);
+  EXPECT_EQ(restored.probe_count(), 17u);
+  EXPECT_EQ(restored.next_pid(), next_pid);
+}
+
 // -------------------------------------------------------------- Bounds
 
 TEST(BoundsTest, EmptyPairsGiveZeroBounds) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -307,6 +308,21 @@ TEST(GovernanceTest, InvalidOptionsRejectedUpFront) {
   expect_invalid(bad, "unknown metric");
 }
 
+// The worker pool spawns exactly num_threads threads, so the ceiling
+// must be checked before any pool exists. Only validation runs here;
+// no thread is started.
+TEST(GovernanceTest, ThreadCountAboveCeilingRejected) {
+  HeraOptions opts;
+  opts.num_threads = kMaxNumThreads;
+  EXPECT_TRUE(ValidateOptions(opts).ok());
+  opts.num_threads = SIZE_MAX;
+  EXPECT_EQ(ValidateOptions(opts).code(), StatusCode::kInvalidArgument);
+  auto pairs =
+      ComputeSimilarValuePairs(testing_util::MakeCustomersDataset(), opts);
+  ASSERT_FALSE(pairs.ok());
+  EXPECT_EQ(pairs.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------- deadlines and cancellation
 
 // Asserts entity_of / super_records describe one consistent partition.
@@ -462,30 +478,23 @@ Dataset MakeAmbiguous(size_t decoys = 20) {
 // Ungoverned progressive is a no-op by construction: the frontier only
 // engages when a budget, deadline, or token could cut the run, so with
 // none of those the pass order stays canonical and labels AND the merge
-// sequence are byte-identical to the default — at every thread count
-// and on both index backends.
+// sequence are byte-identical to the default — at every thread count.
 TEST(ProgressiveTest, UngovernedRunIsByteIdenticalToDefault) {
   Dataset ds = MakePublications();
-  for (IndexBackend backend : {IndexBackend::kOrdered, IndexBackend::kFlat}) {
-    for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-      HeraOptions base;
-      base.index_backend = backend;
-      base.num_threads = threads;
-      auto plain = Hera(base).Run(ds);
-      ASSERT_TRUE(plain.ok()) << plain.status();
+  for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
+    HeraOptions base;
+    base.num_threads = threads;
+    auto plain = Hera(base).Run(ds);
+    ASSERT_TRUE(plain.ok()) << plain.status();
 
-      HeraOptions popts = base;
-      popts.progressive = true;
-      auto prog = Hera(popts).Run(ds);
-      ASSERT_TRUE(prog.ok()) << prog.status();
-      EXPECT_EQ(prog->stats.outcome, RunOutcome::kCompleted);
-      EXPECT_EQ(prog->entity_of, plain->entity_of)
-          << "backend=" << (backend == IndexBackend::kFlat ? "flat" : "ordered")
-          << " threads=" << threads;
-      EXPECT_EQ(prog->stats.merge_sequence, plain->stats.merge_sequence)
-          << "backend=" << (backend == IndexBackend::kFlat ? "flat" : "ordered")
-          << " threads=" << threads;
-    }
+    HeraOptions popts = base;
+    popts.progressive = true;
+    auto prog = Hera(popts).Run(ds);
+    ASSERT_TRUE(prog.ok()) << prog.status();
+    EXPECT_EQ(prog->stats.outcome, RunOutcome::kCompleted);
+    EXPECT_EQ(prog->entity_of, plain->entity_of) << "threads=" << threads;
+    EXPECT_EQ(prog->stats.merge_sequence, plain->stats.merge_sequence)
+        << "threads=" << threads;
   }
 }
 

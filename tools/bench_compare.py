@@ -50,7 +50,6 @@ MANIFEST = [
     # row DP pins speedup_64 at ~1.0 — both far past a 40% allowance.
     ("BENCH_kernel.json", "verify.simd_speedup", "higher", 0.6),
     ("BENCH_kernel.json", "myers.speedup_64", "higher", 0.6),
-    ("BENCH_flat_index.json", "candgen.batched_speedup", "higher", 0.6),
     # Deterministic (counts verifications and measures recall, no wall
     # clock), so the tolerance is tight. A frontier that degrades to
     # canonical order drops the gain to ~0.5x — far past the gate.
