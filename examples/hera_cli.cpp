@@ -2,7 +2,6 @@
 //
 //   hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]
 //                    [--threads N]
-//                    [--kernel-dispatch auto|avx2|sse4|scalar]
 //                    [--out labels.csv] [--quiet]
 //                    [--emit-report report.json] [--log-level LEVEL]
 //                    [--trace-out trace.json] [--timeline-csv FILE]
@@ -33,11 +32,11 @@
 // HERA_THREADS environment variable; the flag wins) sets
 // HeraOptions::num_threads — results are identical at any setting (see
 // docs/performance.md); the run report records the value used.
-// --kernel-dispatch (or HERA_KERNEL_DISPATCH; the flag wins) picks the
-// SIMD tier for the similarity kernels: "auto" (default: best
-// supported), "avx2", "sse4", or "scalar". Tiers unsupported by the
-// CPU clamp down; labels and merge order are byte-identical at every
-// tier (see docs/performance.md, "SIMD kernel tier").
+// The HERA_KERNEL_DISPATCH environment variable ("auto", "avx2" or
+// "scalar") pins the kernel tier, which otherwise follows CPUID; an
+// unknown value is a usage error. Labels and merge order are
+// byte-identical at every tier (see docs/performance.md, "SIMD kernel
+// tier").
 //
 // Durability: --checkpoint-dir makes the run resumable after a kill or
 // a --deadline-ms truncation (snapshots + WAL, docs/file_format.md);
@@ -81,6 +80,7 @@
 #include "eval/cluster_metrics.h"
 #include "eval/metrics.h"
 #include "obs/perfetto.h"
+#include "sim/kernel_dispatch.h"
 #include "sim/metrics.h"
 
 using namespace hera;
@@ -93,7 +93,6 @@ int Usage() {
       "usage:\n"
       "  hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]\n"
       "                   [--threads N]\n"
-      "                   [--kernel-dispatch auto|avx2|sse4|scalar]\n"
       "                   [--out labels.csv] [--quiet]\n"
       "                   [--emit-report report.json] [--log-level LEVEL]\n"
       "                   [--trace-out trace.json] [--timeline-csv FILE]\n"
@@ -220,7 +219,7 @@ int CmdResolve(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, "resolve", 1,
                  {"--xi", "--delta", "--metric", "--threads",
-                  "--kernel-dispatch", "--out", "--emit-report", "--trace-out",
+                  "--out", "--emit-report", "--trace-out",
                   "--timeline-csv", "--timeline-interval-ms",
                   "--checkpoint-dir", "--checkpoint-every", "--deadline-ms",
                   "--max-verifications", "--frontier-capacity"},
@@ -251,13 +250,16 @@ int CmdResolve(int argc, char** argv) {
   }
   opts.guard.WithTimeoutMs(deadline_ms);
   opts.guard.WithMaxVerifications(max_verifications);
-  const char* dispatch_name = std::getenv("HERA_KERNEL_DISPATCH");
-  if (const char* v = args.Value("--kernel-dispatch")) dispatch_name = v;
-  if (dispatch_name != nullptr &&
-      !KernelDispatchFromString(dispatch_name, &opts.kernel_dispatch)) {
+  // The library reads HERA_KERNEL_DISPATCH itself and would take a typo
+  // as auto; refuse it here, like HERA_THREADS.
+  const char* dispatch_env = std::getenv("HERA_KERNEL_DISPATCH");
+  KernelDispatch tier;
+  if (dispatch_env != nullptr &&
+      !KernelDispatchFromString(dispatch_env, &tier)) {
     std::fprintf(stderr,
-                 "unknown kernel dispatch %s (want auto|avx2|sse4|scalar)\n",
-                 dispatch_name);
+                 "invalid value '%s' for HERA_KERNEL_DISPATCH (want "
+                 "auto|avx2|scalar)\n",
+                 dispatch_env);
     return Usage();
   }
   opts.progressive = args.Has("--progressive");

@@ -82,10 +82,6 @@ struct TokenBlockingEROptions {
   BlockingOptions blocking;
   double xi = 0.5;
   double delta = 0.5;
-  /// Score record pairs on the integer kernels with per-cell skipping
-  /// (matching/weight_kernel.h). Bit-equal either way — a speed knob,
-  /// kept toggleable so tests can pin that equality.
-  bool use_encoded_kernels = true;
 };
 std::vector<uint32_t> TokenBlockingER(const Dataset& dataset,
                                       const ValueSimilarity& simv,

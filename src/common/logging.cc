@@ -43,6 +43,11 @@ std::atomic<LogLevel>& Level() {
   return g_level;
 }
 
+/// Room for the timestamp whatever the int fields hold: seven fields of
+/// at most 11 chars ("-2147483648"), seven separators and the NUL, so
+/// the snprintf below can never truncate.
+constexpr size_t kTimestampBufSize = 7 * 11 + 7 + 1;
+
 /// "2026-08-05T12:34:56.789Z" (UTC) for the current wall clock.
 ///
 /// system_clock is intentional here — log lines must correlate with
@@ -101,7 +106,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
     for (const char* p = file; *p; ++p) {
       if (*p == '/') base = p + 1;
     }
-    char ts[32];
+    char ts[kTimestampBufSize];
     FormatTimestamp(ts, sizeof(ts));
     stream_ << "[" << ts << " " << LevelName(level) << " tid:"
             << std::this_thread::get_id() << " " << base << ":" << line << "] ";

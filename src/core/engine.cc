@@ -25,10 +25,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       guard_(options.guard),
       predictor_(options.vote_prior_p, options.vote_rho) {
   assert(simv_ != nullptr);
-  // Apply the SIMD tier before any kernel can run. Process-global by
-  // design (see sim/kernel_dispatch.h); purely a speed knob, so one
-  // engine re-applying it under another is harmless.
-  SetActiveKernelDispatch(options_.kernel_dispatch);
   if (options_.use_prefix_filter_join) {
     // Index at the metric's own gram size (q = 2 for non-gram metrics)
     // so q != 2 gram metrics get the exact filters + encoded kernels
@@ -37,7 +33,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     auto pf = std::make_unique<PrefixFilterJoin>(metric_q > 0 ? metric_q : 2);
     token_cache_ = std::make_shared<TokenCache>(pf->q());
     pf->SetTokenCache(token_cache_);
-    pf->SetEncodedKernels(options_.use_encoded_kernels);
     joiner_ = std::move(pf);
   } else {
     joiner_ = std::make_unique<NestedLoopJoin>();
@@ -88,9 +83,9 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     c_frontier_groups_ = m.GetCounter("quality.frontier_groups");
     c_frontier_verified_ = m.GetCounter("quality.frontier_verified");
     c_frontier_deferred_ = m.GetCounter("quality.frontier_deferred");
-    // Which kernel tier actually ran (0 = scalar, 1 = sse4, 2 = avx2)
-    // — the resolved tier, not the requested one, so a clamped-down
-    // run is visible in its report. The kernel.* counters carry this
+    // Which kernel tier actually ran (0 = scalar, 2 = avx2) — the
+    // resolved tier, not the requested one, so a clamped-down run is
+    // visible in its report. The kernel.* counters carry this
     // run's deltas of the process-global totals.
     m.GetGauge("kernel.dispatch_tier")
         ->Set(static_cast<double>(

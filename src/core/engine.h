@@ -33,6 +33,7 @@
 #include "record/record.h"
 #include "record/super_record.h"
 #include "schema/majority_vote.h"
+#include "sim/kernel_dispatch.h"
 #include "sim/pair_cache.h"
 #include "sim/similarity.h"
 #include "simjoin/similarity_join.h"

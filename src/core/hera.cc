@@ -160,7 +160,6 @@ StatusOr<std::vector<ValuePair>> ComputeSimilarValuePairs(
     const int metric_q = GramMetricSize(simv->Name());
     PrefixFilterJoin join(metric_q > 0 ? metric_q : 2);
     join.SetExecutor(pool.get());
-    join.SetEncodedKernels(options.use_encoded_kernels);
     if (options.enable_pair_sim_cache) {
       join.SetPairSimCache(std::make_shared<PairSimCache>(
           simv->Name(), options.pair_sim_cache_capacity));

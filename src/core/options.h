@@ -11,7 +11,6 @@
 
 #include "common/run_guard.h"
 #include "common/status.h"
-#include "sim/kernel_dispatch.h"
 #include "sim/similarity.h"
 
 namespace hera {
@@ -35,27 +34,6 @@ struct HeraOptions {
   /// Index construction via the prefix-filter join (true) or the
   /// nested-loop oracle (false; the paper's slow baseline).
   bool use_prefix_filter_join = true;
-
-  /// Verify join candidates on the integer-encoded gram sets
-  /// (sim/kernel.h) with threshold-driven early exit, and arm the
-  /// PPJoin+-style positional/suffix filters where they are exact.
-  /// Kernel scores are bit-equal to the string path, so this is purely
-  /// a speed knob: labels, merge_sequence, and snapshots are identical
-  /// either way. Off restores the pre-kernel verification path (A/B
-  /// comparisons). See docs/performance.md.
-  bool use_encoded_kernels = true;
-
-  /// SIMD tier for the similarity kernels (sim/kernel_dispatch.h):
-  /// kAuto picks the best tier the CPU supports (AVX2 > SSE4 >
-  /// scalar), honoring the HERA_KERNEL_DISPATCH environment override;
-  /// a named tier clamps down to what the CPU can run. Applied
-  /// process-globally at engine construction. Purely a speed knob:
-  /// every tier computes bit-identical scores, so labels and
-  /// merge_sequence never change with it (and it is deliberately
-  /// excluded from checkpoint fingerprints — a snapshot written on an
-  /// AVX2 box resumes identically on a scalar one). See
-  /// docs/performance.md ("SIMD kernel tier").
-  KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
 
   /// Memoize verified value-pair similarities across joins, fixpoint
   /// rounds, and incremental batches (sim/pair_cache.h). Scores are a

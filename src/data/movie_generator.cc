@@ -190,12 +190,16 @@ MovieEntity SynthesizeEntity(Rng* rng) {
     // labels would make every same-genre record pair a value match.
     std::string genre = Pick(rng, kGenres);
     size_t extra = 1 + rng->Uniform(2);
-    for (size_t i = 0; i < extra; ++i) genre += "/" + Pick(rng, kGenres);
+    for (size_t i = 0; i < extra; ++i) {
+      genre.append("/").append(Pick(rng, kGenres));
+    }
     e.concept_value[kGenre] = Value(genre);
   }
   {
     std::string country = Pick(rng, kCountries);
-    if (rng->Bernoulli(0.35)) country += " / " + Pick(rng, kCountries);
+    if (rng->Bernoulli(0.35)) {
+      country.append(" / ").append(Pick(rng, kCountries));
+    }
     e.concept_value[kCountry] = Value(country);
   }
   e.concept_value[kLanguage] = Value(Pick(rng, kLanguages));
@@ -213,8 +217,8 @@ MovieEntity SynthesizeEntity(Rng* rng) {
       Value(static_cast<double>(10 + rng->Uniform(4991)));
   {
     std::string kw = Pick(rng, kKeywords);
-    kw += " " + Pick(rng, kKeywords);
-    if (rng->Bernoulli(0.5)) kw += " " + Pick(rng, kKeywords);
+    kw.append(" ").append(Pick(rng, kKeywords));
+    if (rng->Bernoulli(0.5)) kw.append(" ").append(Pick(rng, kKeywords));
     e.concept_value[kPlotKeywords] = Value(kw);
   }
   {

@@ -24,17 +24,17 @@ int ParseQ(const std::string& name) {
 
 }  // namespace
 
-BestPairScorer::BestPairScorer(const ValueSimilarity& simv, bool use_kernel)
+BestPairScorer::BestPairScorer(const ValueSimilarity& simv)
     : simv_(simv), dict_(std::max(1, ParseQ(simv.Name()))) {
   const std::string name = simv.Name();
-  if (use_kernel && GramMetricKind(name, ParseQ(name), &kind_)) {
+  if (GramMetricKind(name, ParseQ(name), &kind_)) {
     kernel_ = true;
     hybrid_ = name.rfind("hybrid(", 0) == 0;
     // Empty dictionary: every gram is "unknown" and gets a fresh id on
     // the fly. Ids are insertion-ordered instead of frequency-ordered —
     // irrelevant here, the kernels only need the encoding injective.
     dict_.Freeze();
-  } else if (use_kernel && (name == "edit" || name == "hybrid(edit)")) {
+  } else if (name == "edit" || name == "hybrid(edit)") {
     // The bounded edit path is exact the same way the set kernels are:
     // NormalizedLevenshteinAtLeast returns the bit-equal score whenever
     // it reaches the floor (sim/string_metrics.h).

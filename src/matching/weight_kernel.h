@@ -56,9 +56,7 @@ namespace hera {
 /// the metric token caches.
 class BestPairScorer {
  public:
-  /// `use_kernel = false` forces the simv.Compute path for every cell
-  /// (A/B toggle; results are bit-equal either way).
-  explicit BestPairScorer(const ValueSimilarity& simv, bool use_kernel = true);
+  explicit BestPairScorer(const ValueSimilarity& simv);
 
   /// Max over cells (a_i, b_j) of simv.Compute, exact when >= floor
   /// (see the contract above). Null values score 0, as in the metrics.

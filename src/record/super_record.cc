@@ -94,10 +94,11 @@ size_t SuperRecord::NumValues() const {
 }
 
 std::string SuperRecord::ToString() const {
-  std::string out = "R" + std::to_string(rid_) + "{";
+  std::string out = "R";
+  out.append(std::to_string(rid_)).append("{");
   for (size_t i = 0; i < fields_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "f" + std::to_string(i) + ":[";
+    out.append("f").append(std::to_string(i)).append(":[");
     for (size_t j = 0; j < fields_[i].size(); ++j) {
       if (j > 0) out += "|";
       out += fields_[i].value(j).value.ToString();

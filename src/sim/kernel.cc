@@ -42,10 +42,6 @@ inline size_t IntersectMergeShaped(const uint32_t* a, size_t na,
     CountSimdIntersection();
     return simd::IntersectAvx2(a, na, b, nb);
   }
-  if (tier == KernelDispatch::kSse4 && std::min(na, nb) >= 4) {
-    CountSimdIntersection();
-    return simd::IntersectSse4(a, na, b, nb);
-  }
 #else
   (void)tier;
 #endif
@@ -64,10 +60,6 @@ inline size_t IntersectBoundedMergeShaped(const uint32_t* a, size_t na,
   if (tier == KernelDispatch::kAvx2 && std::min(na, nb) >= 8) {
     CountSimdIntersection();
     return simd::IntersectBoundedAvx2(a, na, b, nb, min_req);
-  }
-  if (tier == KernelDispatch::kSse4 && std::min(na, nb) >= 4) {
-    CountSimdIntersection();
-    return simd::IntersectBoundedSse4(a, na, b, nb, min_req);
   }
 #else
   (void)tier;

@@ -12,8 +12,8 @@
 // are preserved exactly, and each SetSimilarity formula below is the
 // same floating-point expression the string metrics evaluate
 // (sim/string_metrics.cc, text/qgram.cc). A kernel score is therefore
-// bit-identical to the corresponding string-path score — callers can
-// switch paths without perturbing thresholds, merge order, or labels.
+// bit-identical to the corresponding string-path score, so the join's
+// verification agrees with the nested-loop oracle in the last bit.
 //
 // Intersection strategy (IntersectSize):
 //   - bitmap: when both sets fit one small id window, intern the
@@ -21,18 +21,17 @@
 //     bit tests — no branches on the comparison ladder.
 //   - gallop: when one set is much smaller, walk the small set and
 //     binary-expand into the large one (O(ns log nl)).
-//   - simd:   merge-shaped inputs on an AVX2/SSE4 dispatch tier run
+//   - simd:   merge-shaped inputs on the AVX2 dispatch tier run
 //     the block all-pairs vector kernel (sim/kernel_simd.h) — same
 //     exact count, one vector-width window per step.
 //   - merge:  the classic two-pointer merge, otherwise (and always on
 //     the scalar tier).
 //
-// Which vector tier runs is the process-global dispatch knob
-// (sim/kernel_dispatch.h): HeraOptions::kernel_dispatch /
-// HERA_KERNEL_DISPATCH, resolved against CPUID with scalar as the
-// universal fallback. Tiers are a speed knob only — every tier
-// computes the same integer counts, hence bit-identical similarity
-// scores.
+// Which tier runs is the process-global dispatch tier
+// (sim/kernel_dispatch.h): HERA_KERNEL_DISPATCH, else CPUID, with
+// scalar as the universal fallback. Tiers are a speed knob only —
+// every tier computes the same integer counts, hence bit-identical
+// similarity scores.
 //
 // Thresholded verification (SetSimilarityBounded) converts the
 // threshold into the minimum intersection size that can reach it
@@ -94,7 +93,7 @@ size_t IntersectSize(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b);
 
 /// Exact |a ∩ b| on an explicit dispatch tier: the block all-pairs
-/// vector kernel on kAvx2/kSse4, the scalar merge on kScalar (kAuto
+/// AVX2 kernel on kAvx2, the scalar merge on kScalar (kAuto
 /// resolves first). Same count on every tier; exposed for the fuzz
 /// tests and bench_kernel, and the primitive IntersectSize slots into
 /// its shape dispatch.

@@ -13,15 +13,8 @@ namespace {
 
 #if defined(__x86_64__) || defined(__i386__)
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
-bool CpuHasSse4() {
-  // The SSE4 kernels use SSE2 shuffles/compares plus POPCNT, which
-  // arrived with SSE4.2-era CPUs; gate on both to be safe.
-  return __builtin_cpu_supports("sse4.2") != 0 &&
-         __builtin_cpu_supports("popcnt") != 0;
-}
 #else
 bool CpuHasAvx2() { return false; }
-bool CpuHasSse4() { return false; }
 #endif
 
 /// kAuto until the first ActiveKernelDispatch()/SetActiveKernelDispatch
@@ -46,8 +39,6 @@ bool CpuSupportsKernelDispatch(KernelDispatch tier) {
   switch (tier) {
     case KernelDispatch::kAvx2:
       return CpuHasAvx2();
-    case KernelDispatch::kSse4:
-      return CpuHasSse4();
     case KernelDispatch::kAuto:
     case KernelDispatch::kScalar:
       return true;
@@ -57,7 +48,6 @@ bool CpuSupportsKernelDispatch(KernelDispatch tier) {
 
 KernelDispatch BestSupportedKernelDispatch() {
   if (CpuHasAvx2()) return KernelDispatch::kAvx2;
-  if (CpuHasSse4()) return KernelDispatch::kSse4;
   return KernelDispatch::kScalar;
 }
 
@@ -70,9 +60,6 @@ KernelDispatch ResolveKernelDispatch(KernelDispatch requested) {
   }
   // Clamp a named tier down to what the CPU can run.
   if (requested == KernelDispatch::kAvx2 && !CpuHasAvx2()) {
-    requested = KernelDispatch::kSse4;
-  }
-  if (requested == KernelDispatch::kSse4 && !CpuHasSse4()) {
     requested = KernelDispatch::kScalar;
   }
   return requested;
@@ -99,8 +86,6 @@ const char* KernelDispatchToString(KernelDispatch tier) {
       return "auto";
     case KernelDispatch::kAvx2:
       return "avx2";
-    case KernelDispatch::kSse4:
-      return "sse4";
     case KernelDispatch::kScalar:
       return "scalar";
   }
@@ -112,8 +97,6 @@ bool KernelDispatchFromString(const std::string& name, KernelDispatch* tier) {
     *tier = KernelDispatch::kAuto;
   } else if (name == "avx2") {
     *tier = KernelDispatch::kAvx2;
-  } else if (name == "sse4") {
-    *tier = KernelDispatch::kSse4;
   } else if (name == "scalar") {
     *tier = KernelDispatch::kScalar;
   } else {
@@ -126,8 +109,6 @@ int KernelDispatchGaugeValue(KernelDispatch tier) {
   switch (tier) {
     case KernelDispatch::kAvx2:
       return 2;
-    case KernelDispatch::kSse4:
-      return 1;
     case KernelDispatch::kAuto:
     case KernelDispatch::kScalar:
       return 0;

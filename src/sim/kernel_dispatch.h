@@ -1,22 +1,19 @@
 // Runtime dispatch for the SIMD kernel tier.
 //
 // The similarity kernels (sim/kernel.cc set intersection, the Myers
-// bit-parallel Levenshtein in sim/string_metrics.cc) come in several
-// implementations: scalar (always available), SSE4, and AVX2. Which one
-// runs is a pure speed knob — every tier computes the same integers and
+// bit-parallel Levenshtein in sim/string_metrics.cc) come in two tiers:
+// AVX2, and scalar, which is the test oracle and the fallback. Which one
+// runs never changes a result — both tiers compute the same integers and
 // the same doubles, so labels and merge_sequence are byte-identical
 // across tiers (tests/kernel_test.cc sweeps them).
 //
 // Tier selection, in precedence order:
-//   1. HeraOptions::kernel_dispatch, when not kAuto (the engine applies
-//      it via SetActiveKernelDispatch at construction);
-//   2. the HERA_KERNEL_DISPATCH environment variable ("avx2", "sse4",
-//      "scalar", "auto") — this is how CI forces the scalar fallback
-//      for a whole ctest run without touching any call site;
-//   3. CPUID: the best tier the running CPU supports.
-// A requested tier the CPU cannot run clamps down (avx2 -> sse4 ->
-// scalar), never errors: the knob can be baked into configs that run on
-// heterogeneous fleets.
+//   1. the HERA_KERNEL_DISPATCH environment variable ("avx2", "scalar",
+//      "auto") — this is how CI forces the scalar fallback for a whole
+//      ctest run without touching any call site;
+//   2. CPUID: the best tier the running CPU supports.
+// A requested tier the CPU cannot run clamps down to scalar, never
+// errors. Tests pin a tier with SetActiveKernelDispatch.
 //
 // The active tier is process-global (one atomic, relaxed ordering) by
 // design: the kernels are called from deep inside hot loops that cannot
@@ -45,7 +42,6 @@ namespace hera {
 enum class KernelDispatch {
   kAuto,
   kAvx2,
-  kSse4,
   kScalar,
 };
 
@@ -66,17 +62,17 @@ KernelDispatch ResolveKernelDispatch(KernelDispatch requested);
 KernelDispatch ActiveKernelDispatch();
 
 /// Sets the active tier (resolving kAuto / clamping unsupported tiers
-/// first). The engine calls this with HeraOptions::kernel_dispatch.
+/// first). Process-global: a caller that pins a tier restores kAuto.
 void SetActiveKernelDispatch(KernelDispatch tier);
 
-/// "auto" | "avx2" | "sse4" | "scalar".
+/// "auto" | "avx2" | "scalar".
 const char* KernelDispatchToString(KernelDispatch tier);
 
 /// Inverse of KernelDispatchToString; false on unknown names.
 bool KernelDispatchFromString(const std::string& name, KernelDispatch* tier);
 
 /// Numeric tier id for the kernel.dispatch_tier gauge: 0 = scalar,
-/// 1 = sse4, 2 = avx2.
+/// 2 = avx2 (1 is retired).
 int KernelDispatchGaugeValue(KernelDispatch tier);
 
 namespace kernel_internal {
@@ -84,7 +80,7 @@ extern std::atomic<uint64_t> g_simd_intersections;
 extern std::atomic<uint64_t> g_myers_calls;
 }  // namespace kernel_internal
 
-/// One SIMD (sse4/avx2) intersection ran instead of the scalar merge.
+/// One AVX2 intersection ran instead of the scalar merge.
 inline void CountSimdIntersection() {
   kernel_internal::g_simd_intersections.fetch_add(1, std::memory_order_relaxed);
 }

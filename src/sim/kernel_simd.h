@@ -19,7 +19,7 @@
 // would have been < min_req — so SetSimilarityBounded stays bit-equal
 // across tiers.
 //
-// These functions are compiled in their own translation units with the
+// These functions are compiled in their own translation unit with the
 // matching -m flags (see src/sim/CMakeLists.txt) and must only be
 // called after a CPUID check (sim/kernel_dispatch.h); kernel.cc is the
 // sole caller.
@@ -52,14 +52,6 @@ size_t IntersectAvx2(const uint32_t* a, size_t na, const uint32_t* b,
 /// when it is >= min_req could still be reached at every block, else
 /// kAbandonedIntersect (in which case the exact count is < min_req).
 size_t IntersectBoundedAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                            size_t nb, size_t min_req);
-
-/// Exact |a ∩ b| using 4-lane SSE windows; inputs sorted + deduped.
-size_t IntersectSse4(const uint32_t* a, size_t na, const uint32_t* b,
-                     size_t nb);
-
-/// IntersectSse4 with the integer abandon test (see IntersectBoundedAvx2).
-size_t IntersectBoundedSse4(const uint32_t* a, size_t na, const uint32_t* b,
                             size_t nb, size_t min_req);
 
 #endif  // HERA_X86_SIMD

@@ -28,7 +28,7 @@ double QgramCosine(std::string_view a, std::string_view b, int q);
 
 /// Levenshtein edit distance (unit costs). Raw count, not normalized.
 /// Dispatches on the kernel tier (sim/kernel_dispatch.h): the Myers
-/// bit-parallel kernel on any vector tier, the row DP on the scalar
+/// bit-parallel kernel on the AVX2 tier, the row DP on the scalar
 /// tier. Both compute the same integer for every byte string.
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 

@@ -137,43 +137,15 @@ size_t NumChunks(size_t n, size_t grain) {
   return n == 0 ? 0 : (n + grain - 1) / grain;
 }
 
-/// True when `simv` is q-gram Jaccard, so the prefix filter is exact
-/// and verification can run on the encoded token sets directly.
-bool IsJaccardMetric(const ValueSimilarity& simv, int q) {
-  std::string name = simv.Name();
-  std::string expect = "jaccard_q" + std::to_string(q);
-  return name == expect || name == "hybrid(" + expect + ")";
-}
-
-/// Pre-kernel Jaccard verification, kept as the SetEncodedKernels(false)
-/// A/B path.
-double JaccardOfIds(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
-  size_t i = 0, j = 0, inter = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++inter, ++i, ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  size_t uni = a.size() + b.size() - inter;
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 /// How a join verifies the candidates the filters let through.
 struct VerifyPlan {
   /// Kernel-eligible metric: score encoded token sets directly
   /// (bit-equal to the string path; see sim/kernel.h).
   bool use_kernel = false;
   SetSimKind kind = SetSimKind::kJaccard;
-  /// Positional/suffix filters apply (exact threshold: q-gram Jaccard
-  /// with kernels on).
+  /// The metric is q-gram Jaccard at the join's q, so the prefix
+  /// filter is exact and the positional/suffix filters apply.
   bool exact_filters = false;
-  /// Kernels off but the metric is exact Jaccard: verify with the
-  /// pre-kernel two-pointer merge (the A/B baseline path).
-  bool legacy_jaccard_ids = false;
   /// Metric-matched PairSimCache for the fallback string path, or null.
   PairSimCache* pair_cache = nullptr;
 };
@@ -214,18 +186,11 @@ int PositionalSuffixFilter(const std::vector<uint32_t>& x, size_t px,
 }
 
 VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q,
-                          bool encoded_kernels, PairSimCache* cache) {
+                          PairSimCache* cache) {
   VerifyPlan plan;
-  const bool exact_jaccard = IsJaccardMetric(simv, q);
-  SetSimKind kind;
-  if (encoded_kernels && GramMetricKind(simv.Name(), q, &kind)) {
-    plan.use_kernel = true;
-    plan.kind = kind;
-  }
-  plan.exact_filters = exact_jaccard && encoded_kernels;
-  plan.legacy_jaccard_ids = exact_jaccard && !plan.use_kernel;
-  plan.pair_cache =
-      (plan.use_kernel || plan.legacy_jaccard_ids) ? nullptr : cache;
+  plan.use_kernel = GramMetricKind(simv.Name(), q, &plan.kind);
+  plan.exact_filters = plan.use_kernel && plan.kind == SetSimKind::kJaccard;
+  plan.pair_cache = plan.use_kernel ? nullptr : cache;
   return plan;
 }
 
@@ -238,7 +203,6 @@ double VerifyStringPair(const VerifyPlan& plan, const ValueSimilarity& simv,
                         const std::vector<uint32_t>& y_ids, const Value& va,
                         const Value& vb) {
   if (plan.use_kernel) return SetSimilarityBounded(plan.kind, x_ids, y_ids, xi);
-  if (plan.legacy_jaccard_ids) return JaccardOfIds(x_ids, y_ids);
   if (plan.pair_cache != nullptr) {
     return plan.pair_cache->GetOrCompute(
         va.ToString(), vb.ToString(), [&] { return simv.Compute(va, vb); });
@@ -473,12 +437,10 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
 
   // ---- String path: AllPairs with length + prefix filters, plus
   // positional/suffix filters when the threshold is exact.
-  const bool exact_jaccard = IsJaccardMetric(simv, q_);
-  const VerifyPlan plan =
-      MakeVerifyPlan(simv, q_, encoded_kernels_, PairCacheFor(simv));
+  const VerifyPlan plan = MakeVerifyPlan(simv, q_, PairCacheFor(simv));
   // For non-Jaccard metrics the gram filter is only a blocker; run it
   // at a slackened threshold so near-threshold true pairs survive.
-  const double filter_xi = exact_jaccard ? xi : xi * filter_slack_;
+  const double filter_xi = plan.exact_filters ? xi : xi * filter_slack_;
 
   // Phase 1 (parallel): normalization + gram extraction, the
   // embarrassingly parallel part of tokenization. Grams come from the
@@ -707,10 +669,8 @@ Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
 
   const bool metric_handles_numbers =
       StartsWith(simv.Name(), "hybrid(") || simv.Name() == "numeric";
-  const bool exact_jaccard = IsJaccardMetric(simv, q_);
-  const VerifyPlan plan =
-      MakeVerifyPlan(simv, q_, encoded_kernels_, PairCacheFor(simv));
-  const double filter_xi = exact_jaccard ? xi : xi * filter_slack_;
+  const VerifyPlan plan = MakeVerifyPlan(simv, q_, PairCacheFor(simv));
+  const double filter_xi = plan.exact_filters ? xi : xi * filter_slack_;
 
   // ---- Numeric path: base sorted by value, probes scan the window
   // where (gap <= (1 - xi) * max(|x|, |y|)) can hold. Probes chunk

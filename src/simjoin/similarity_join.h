@@ -228,17 +228,6 @@ class PrefixFilterJoin : public SimilarityJoin {
   /// must be built with the same q).
   int q() const { return q_; }
 
-  /// Toggles the integer-encoded verification kernels (sim/kernel.h)
-  /// and the PPJoin+-style positional/suffix filters that ride on
-  /// them. On (the default), kernel-eligible metrics (Jaccard / Dice /
-  /// overlap / cosine over q-grams with matching q) are verified
-  /// directly on the encoded token sets with threshold-driven early
-  /// exit — bit-equal to the string path, so emitted pairs are
-  /// byte-identical either way. Off restores the pre-kernel path
-  /// (A/B comparisons, debugging).
-  void SetEncodedKernels(bool enabled) { encoded_kernels_ = enabled; }
-  bool encoded_kernels() const { return encoded_kernels_; }
-
   Status Join(const std::vector<LabeledValue>& values,
               const ValueSimilarity& simv, double xi, const RunGuard& guard,
               std::vector<ValuePair>* out,
@@ -256,7 +245,6 @@ class PrefixFilterJoin : public SimilarityJoin {
  private:
   int q_;
   double filter_slack_;
-  bool encoded_kernels_ = true;
   std::shared_ptr<TokenCache> cache_;
 };
 

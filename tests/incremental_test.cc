@@ -74,14 +74,15 @@ TEST(JoinABTest, RandomizedEquivalence) {
   auto make_values = [&](uint32_t rid_base, size_t n) {
     std::vector<LabeledValue> out;
     for (uint32_t i = 0; i < n; ++i) {
+      LabeledValue& lv = out.emplace_back();
+      lv.label = ValueLabel{rid_base + i, 0, 0};
       if (rng.Bernoulli(0.25)) {
-        out.push_back({ValueLabel{rid_base + i, 0, 0},
-                       Value(static_cast<double>(rng.Uniform(50)))});
+        lv.value = Value(static_cast<double>(rng.Uniform(50)));
       } else {
         std::string s = kWords[rng.Uniform(8)];
-        if (rng.Bernoulli(0.5)) s += " " + std::string(kWords[rng.Uniform(8)]);
+        if (rng.Bernoulli(0.5)) s.append(" ").append(kWords[rng.Uniform(8)]);
         if (rng.Bernoulli(0.3)) s[rng.Uniform(s.size())] = 'q';
-        out.push_back({ValueLabel{rid_base + i, 0, 0}, Value(s)});
+        lv.value = Value(s);
       }
     }
     return out;

@@ -419,7 +419,9 @@ TEST_P(BoundsPropertyTest, BoundsSandwichOptimum) {
     double optimal = BruteForceBestMatching(r.refined, nl, nr) / denom;
     EXPECT_LE(r.lower, optimal + 1e-9);
     EXPECT_GE(r.upper, optimal - 1e-9);
-    if (r.exact) EXPECT_NEAR(r.lower, optimal, 1e-9);
+    if (r.exact) {
+      EXPECT_NEAR(r.lower, optimal, 1e-9);
+    }
   }
 }
 

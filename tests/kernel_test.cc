@@ -2,7 +2,7 @@
 // verified-pair cache (sim/pair_cache.h), and the invariants the join
 // and engine build on them: every kernel score is bit-equal to the
 // string-path metric, the threshold-bounded forms never change which
-// pairs survive, and flipping the kernels / pair-cache knobs leaves
+// pairs survive, and the kernel tier and the pair-cache knob leave
 // labels and merge sequences byte-identical at every thread count.
 
 #include "sim/kernel.h"
@@ -21,7 +21,6 @@
 #include "sim/string_metrics.h"
 
 #include "baselines/homogeneous.h"
-#include "blocking/token_blocking.h"
 #include "core/hera.h"
 #include "data/movie_generator.h"
 #include "data/publication_generator.h"
@@ -99,15 +98,26 @@ constexpr SetSimKind kAllKinds[] = {SetSimKind::kJaccard, SetSimKind::kDice,
 // --------------------------------------------- SIMD dispatch + kernels
 
 /// Tiers that can actually run on this machine (resolution clamps, so
-/// every named tier is testable everywhere — unsupported ones just
-/// alias a lower tier).
+/// every named tier is testable everywhere — avx2 without CPU support
+/// just aliases scalar).
 const KernelDispatch kSweepTiers[] = {KernelDispatch::kScalar,
-                                      KernelDispatch::kSse4,
                                       KernelDispatch::kAvx2};
+
+/// Pins the process-global kernel tier for one scope and restores kAuto
+/// on exit, so a pinned tier never leaks into later tests in the binary.
+class ScopedKernelDispatch {
+ public:
+  explicit ScopedKernelDispatch(KernelDispatch tier) {
+    SetActiveKernelDispatch(tier);
+  }
+  ~ScopedKernelDispatch() { SetActiveKernelDispatch(KernelDispatch::kAuto); }
+  ScopedKernelDispatch(const ScopedKernelDispatch&) = delete;
+  ScopedKernelDispatch& operator=(const ScopedKernelDispatch&) = delete;
+};
 
 TEST(KernelDispatchTest, StringRoundTripAndUnknownNames) {
   for (KernelDispatch t : {KernelDispatch::kAuto, KernelDispatch::kAvx2,
-                           KernelDispatch::kSse4, KernelDispatch::kScalar}) {
+                           KernelDispatch::kScalar}) {
     KernelDispatch back;
     ASSERT_TRUE(KernelDispatchFromString(KernelDispatchToString(t), &back));
     EXPECT_EQ(back, t);
@@ -115,12 +125,13 @@ TEST(KernelDispatchTest, StringRoundTripAndUnknownNames) {
   KernelDispatch t;
   EXPECT_FALSE(KernelDispatchFromString("", &t));
   EXPECT_FALSE(KernelDispatchFromString("avx512", &t));
+  EXPECT_FALSE(KernelDispatchFromString("sse4", &t));
   EXPECT_FALSE(KernelDispatchFromString("AVX2", &t));
 }
 
 TEST(KernelDispatchTest, ResolutionNeverReturnsAutoAndClampsDown) {
   for (KernelDispatch req : {KernelDispatch::kAuto, KernelDispatch::kAvx2,
-                             KernelDispatch::kSse4, KernelDispatch::kScalar}) {
+                             KernelDispatch::kScalar}) {
     KernelDispatch got = ResolveKernelDispatch(req);
     EXPECT_NE(got, KernelDispatch::kAuto);
     EXPECT_TRUE(CpuSupportsKernelDispatch(got));
@@ -130,17 +141,16 @@ TEST(KernelDispatchTest, ResolutionNeverReturnsAutoAndClampsDown) {
             KernelDispatch::kScalar);
   EXPECT_TRUE(CpuSupportsKernelDispatch(KernelDispatch::kScalar));
   EXPECT_NE(BestSupportedKernelDispatch(), KernelDispatch::kAuto);
-  // Gauge values are the documented 0/1/2 encoding.
+  // Gauge values are the documented encoding (1 is retired).
   EXPECT_EQ(KernelDispatchGaugeValue(KernelDispatch::kScalar), 0);
-  EXPECT_EQ(KernelDispatchGaugeValue(KernelDispatch::kSse4), 1);
   EXPECT_EQ(KernelDispatchGaugeValue(KernelDispatch::kAvx2), 2);
 }
 
 TEST(KernelSimdTest, AllTiersMatchReferenceAtVectorWidthBuckets) {
   std::mt19937 rng(2024);
-  // Length buckets straddle the 4-lane (SSE) and 8-lane (AVX2) block
-  // boundaries plus the scalar tail: off-by-one bugs in the block loop
-  // or MergeTail land exactly there.
+  // Length buckets straddle the 8-lane AVX2 block boundaries plus the
+  // scalar tail: off-by-one bugs in the block loop or MergeTail land
+  // exactly there.
   const size_t buckets[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63,
                             64, 65, 100};
   for (size_t na : buckets) {
@@ -190,12 +200,12 @@ TEST(KernelSimdTest, SimdCounterAdvancesOnVectorTiers) {
   std::mt19937 rng(5);
   auto a = RandomSet(&rng, 64, 0, 10000);
   auto b = RandomSet(&rng, 64, 0, 10000);
-  if (ResolveKernelDispatch(KernelDispatch::kSse4) == KernelDispatch::kScalar) {
+  if (ResolveKernelDispatch(KernelDispatch::kAvx2) == KernelDispatch::kScalar) {
     GTEST_SKIP() << "no vector tier on this CPU";
   }
   uint64_t before = KernelCountersNow().simd_intersections;
   IntersectSizeSimd(a.data(), a.size(), b.data(), b.size(),
-                    KernelDispatch::kSse4);
+                    KernelDispatch::kAvx2);
   EXPECT_GT(KernelCountersNow().simd_intersections, before);
   // The scalar tier never touches the SIMD counter.
   uint64_t mid = KernelCountersNow().simd_intersections;
@@ -563,35 +573,69 @@ Dataset SmallMovies(size_t records = 90, uint64_t seed = 7) {
   return GenerateMovieDataset(config);
 }
 
-TEST(KernelJoinTest, KernelTogglePreservesJoinOutputForEveryGramMetric) {
-  Dataset ds = SmallMovies();
-  std::vector<LabeledValue> values = ValuesOf(ds);
-  for (const char* name :
-       {"jaccard_q2", "dice_q2", "overlap_q2", "cosine_q2",
-        "hybrid(jaccard_q2)"}) {
-    auto metric = MakeSimilarity(name);
-    ASSERT_NE(metric, nullptr) << name;
-    std::vector<ValuePair> on, off;
-    PrefixFilterJoin join_on;
-    join_on.SetEncodedKernels(true);
-    ASSERT_TRUE(join_on.Join(values, *metric, 0.5, RunGuard(), &on).ok());
-    PrefixFilterJoin join_off;
-    join_off.SetEncodedKernels(false);
-    ASSERT_TRUE(join_off.Join(values, *metric, 0.5, RunGuard(), &off).ok());
-    EXPECT_EQ(AsTuples(on), AsTuples(off)) << name;
-  }
-}
-
-TEST(KernelJoinTest, KernelJoinMatchesNestedLoopOracleForJaccard) {
-  // String values only: the filter stack's exactness claim is for
-  // q-gram Jaccard over strings (the numeric sweep handles numbers and
-  // intentionally never cross-compares a number against a string,
-  // unlike the type-blind oracle).
-  Dataset ds = SmallMovies(70, 3);
+/// String values only: the filter stack's exactness claim is for
+/// q-gram metrics over strings (the numeric sweep handles numbers and
+/// intentionally never cross-compares a number against a string,
+/// unlike the type-blind oracle).
+std::vector<LabeledValue> StringValuesOf(const Dataset& ds) {
   std::vector<LabeledValue> values;
   for (LabeledValue& lv : ValuesOf(ds)) {
     if (lv.value.is_string()) values.push_back(std::move(lv));
   }
+  return values;
+}
+
+/// Join output as sorted tuples with each unordered pair oriented
+/// a < b: the joins may orient a pair differently.
+std::vector<PairTuple> CanonicalTuples(std::vector<ValuePair> pairs) {
+  for (ValuePair& p : pairs) {
+    if (std::tie(p.b.rid, p.b.fid, p.b.vid) <
+        std::tie(p.a.rid, p.a.fid, p.a.vid)) {
+      std::swap(p.a, p.b);
+    }
+  }
+  std::vector<PairTuple> v = AsTuples(pairs);
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(KernelJoinTest, KernelJoinMatchesNestedLoopOracleForEveryGramMetric) {
+  std::vector<LabeledValue> values = StringValuesOf(SmallMovies());
+  // Jaccard arms the exact filter stack: the prefix join emits exactly
+  // the oracle's set. The other kinds run a slackened (heuristic)
+  // prefix: the join may miss oracle pairs, but every pair it emits is
+  // an oracle pair with a bit-identical sim.
+  const struct {
+    const char* name;
+    bool exact;
+  } cases[] = {{"jaccard_q2", true},  {"jaccard_q3", true},
+               {"hybrid(jaccard_q2)", true}, {"dice_q2", false},
+               {"overlap_q2", false}, {"cosine_q2", false}};
+  for (const auto& c : cases) {
+    auto metric = MakeSimilarity(c.name);
+    ASSERT_NE(metric, nullptr) << c.name;
+    std::vector<ValuePair> oracle_out, fast_out;
+    ASSERT_TRUE(
+        NestedLoopJoin().Join(values, *metric, 0.5, RunGuard(), &oracle_out)
+            .ok());
+    PrefixFilterJoin fast(GramMetricSize(c.name));
+    ASSERT_TRUE(fast.Join(values, *metric, 0.5, RunGuard(), &fast_out).ok());
+    ASSERT_GT(fast_out.size(), 0u) << c.name;
+    const std::vector<PairTuple> oracle = CanonicalTuples(oracle_out);
+    const std::vector<PairTuple> fast_tuples = CanonicalTuples(fast_out);
+    if (c.exact) {
+      EXPECT_EQ(oracle, fast_tuples) << c.name;
+      continue;
+    }
+    for (const PairTuple& t : fast_tuples) {
+      EXPECT_TRUE(std::binary_search(oracle.begin(), oracle.end(), t))
+          << c.name << ": emitted pair missing from the oracle";
+    }
+  }
+}
+
+TEST(KernelJoinTest, KernelJoinMatchesNestedLoopOracleForJaccard) {
+  std::vector<LabeledValue> values = StringValuesOf(SmallMovies(70, 3));
   auto metric = MakeSimilarity("jaccard_q2");
   ASSERT_NE(metric, nullptr);
   std::vector<ValuePair> oracle_out, fast_out;
@@ -599,20 +643,7 @@ TEST(KernelJoinTest, KernelJoinMatchesNestedLoopOracleForJaccard) {
   ASSERT_TRUE(oracle.Join(values, *metric, 0.5, RunGuard(), &oracle_out).ok());
   PrefixFilterJoin fast;
   ASSERT_TRUE(fast.Join(values, *metric, 0.5, RunGuard(), &fast_out).ok());
-  // The joins may orient an unordered pair differently; canonicalize
-  // before comparing sets.
-  auto canon = [](std::vector<ValuePair> pairs) {
-    for (ValuePair& p : pairs) {
-      if (std::tie(p.b.rid, p.b.fid, p.b.vid) <
-          std::tie(p.a.rid, p.a.fid, p.a.vid)) {
-        std::swap(p.a, p.b);
-      }
-    }
-    std::vector<PairTuple> v = AsTuples(pairs);
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  EXPECT_EQ(canon(oracle_out), canon(fast_out));
+  EXPECT_EQ(CanonicalTuples(oracle_out), CanonicalTuples(fast_out));
 }
 
 TEST(KernelJoinTest, FilterCountersAreConsistent) {
@@ -631,17 +662,6 @@ TEST(KernelJoinTest, FilterCountersAreConsistent) {
   EXPECT_GT(report.pruned_length + report.pruned_positional +
                 report.pruned_suffix,
             0u);
-
-  // With kernels off the positional/suffix filters are disarmed.
-  std::vector<ValuePair> out_off;
-  JoinReport report_off;
-  PrefixFilterJoin join_off;
-  join_off.SetEncodedKernels(false);
-  ASSERT_TRUE(
-      join_off.Join(values, *metric, 0.5, RunGuard(), &out_off, &report_off).ok());
-  EXPECT_EQ(report_off.pruned_positional, 0u);
-  EXPECT_EQ(report_off.pruned_suffix, 0u);
-  EXPECT_EQ(AsTuples(out), AsTuples(out_off));
 }
 
 TEST(KernelJoinTest, PairCacheServesRepeatVerificationsUnchanged) {
@@ -713,32 +733,34 @@ TEST(KernelEngineTest, KnobsAndThreadsNeverChangeTheRun) {
   const Dataset datasets[] = {GenerateMovieDataset(mconfig),
                               GeneratePublicationDataset(pconfig)};
   for (const Dataset& ds : datasets) {
-    HeraOptions base;  // kernels on, pair cache on, serial.
+    HeraOptions base;  // auto tier, pair cache on, serial.
     auto want_result = Hera(base).Run(ds);
     ASSERT_TRUE(want_result.ok());
     ASSERT_GT(want_result->stats.merges, 0u);
     RunSignature want = SignatureOf(*want_result);
     struct Config {
       size_t threads;
-      bool kernels;
+      KernelDispatch tier;
       bool cache;
     };
+    constexpr KernelDispatch kScalar = KernelDispatch::kScalar;
+    constexpr KernelDispatch kAvx2 = KernelDispatch::kAvx2;
     const Config configs[] = {
-        {0, false, true},  {0, true, false}, {0, false, false},
-        {4, true, true},   {4, false, true}, {4, true, false},
-        {8, true, true},   {8, false, false},
+        {0, kScalar, true}, {0, kAvx2, false},  {0, kScalar, false},
+        {4, kAvx2, true},   {4, kScalar, true}, {4, kAvx2, false},
+        {8, kAvx2, true},   {8, kScalar, false},
     };
     for (const Config& c : configs) {
+      ScopedKernelDispatch pin(c.tier);
       HeraOptions opts;
       opts.num_threads = c.threads;
-      opts.use_encoded_kernels = c.kernels;
       opts.enable_pair_sim_cache = c.cache;
       auto got = Hera(opts).Run(ds);
       ASSERT_TRUE(got.ok());
       ExpectSameSignature(
           want, SignatureOf(*got),
           "threads=" + std::to_string(c.threads) +
-              " kernels=" + std::to_string(c.kernels) +
+              " tier=" + KernelDispatchToString(c.tier) +
               " cache=" + std::to_string(c.cache));
     }
   }
@@ -756,16 +778,18 @@ TEST(KernelEngineTest, DispatchTierNeverChangesTheRun) {
   const Dataset datasets[] = {GenerateMovieDataset(mconfig),
                               GeneratePublicationDataset(pconfig)};
   for (const Dataset& ds : datasets) {
-    HeraOptions base;
-    base.kernel_dispatch = KernelDispatch::kScalar;
-    auto want_result = Hera(base).Run(ds);
-    ASSERT_TRUE(want_result.ok());
-    ASSERT_GT(want_result->stats.merges, 0u);
-    RunSignature want = SignatureOf(*want_result);
+    RunSignature want{};
+    {
+      ScopedKernelDispatch pin(KernelDispatch::kScalar);
+      auto want_result = Hera(HeraOptions{}).Run(ds);
+      ASSERT_TRUE(want_result.ok());
+      ASSERT_GT(want_result->stats.merges, 0u);
+      want = SignatureOf(*want_result);
+    }
     for (KernelDispatch tier : kSweepTiers) {
+      ScopedKernelDispatch pin(tier);
       for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
         HeraOptions opts;
-        opts.kernel_dispatch = tier;
         opts.num_threads = threads;
         auto got = Hera(opts).Run(ds);
         ASSERT_TRUE(got.ok());
@@ -775,8 +799,6 @@ TEST(KernelEngineTest, DispatchTierNeverChangesTheRun) {
       }
     }
   }
-  // Leave the process-global tier back at auto for the other tests.
-  SetActiveKernelDispatch(KernelDispatch::kAuto);
 }
 
 TEST(KernelEngineTest, EditMetricRunIdenticalAcrossTiers) {
@@ -787,27 +809,25 @@ TEST(KernelEngineTest, EditMetricRunIdenticalAcrossTiers) {
   config.num_entities = 28;
   config.seed = 23;
   Dataset ds = GenerateMovieDataset(config);
-  HeraOptions base;
-  base.metric = "edit";
-  base.xi = 0.6;
-  base.kernel_dispatch = KernelDispatch::kScalar;
-  auto want_result = Hera(base).Run(ds);
-  ASSERT_TRUE(want_result.ok());
-  ASSERT_GT(want_result->stats.merges, 0u);
-  RunSignature want = SignatureOf(*want_result);
-  for (KernelDispatch tier :
-       {KernelDispatch::kSse4, KernelDispatch::kAvx2, KernelDispatch::kAuto}) {
-    HeraOptions opts;
-    opts.metric = "edit";
-    opts.xi = 0.6;
-    opts.kernel_dispatch = tier;
+  HeraOptions opts;
+  opts.metric = "edit";
+  opts.xi = 0.6;
+  RunSignature want{};
+  {
+    ScopedKernelDispatch pin(KernelDispatch::kScalar);
+    auto want_result = Hera(opts).Run(ds);
+    ASSERT_TRUE(want_result.ok());
+    ASSERT_GT(want_result->stats.merges, 0u);
+    want = SignatureOf(*want_result);
+  }
+  for (KernelDispatch tier : {KernelDispatch::kAvx2, KernelDispatch::kAuto}) {
+    ScopedKernelDispatch pin(tier);
     auto got = Hera(opts).Run(ds);
     ASSERT_TRUE(got.ok());
     ExpectSameSignature(want, SignatureOf(*got),
                         std::string("edit tier=") +
                             KernelDispatchToString(tier));
   }
-  SetActiveKernelDispatch(KernelDispatch::kAuto);
 }
 
 TEST(KernelEngineTest, Q3MetricArmsKernelsAndStaysLossless) {
@@ -820,13 +840,16 @@ TEST(KernelEngineTest, Q3MetricArmsKernelsAndStaysLossless) {
   config.num_entities = 52;
   config.seed = 31;
   Dataset ds = GeneratePublicationDataset(config);
-  HeraOptions base;
-  base.metric = "jaccard_q3";
-  base.kernel_dispatch = KernelDispatch::kScalar;
-  auto want_result = Hera(base).Run(ds);
-  ASSERT_TRUE(want_result.ok());
-  ASSERT_GT(want_result->stats.merges, 0u);
-  RunSignature want = SignatureOf(*want_result);
+  HeraOptions opts;
+  opts.metric = "jaccard_q3";
+  RunSignature want{};
+  {
+    ScopedKernelDispatch pin(KernelDispatch::kScalar);
+    auto want_result = Hera(opts).Run(ds);
+    ASSERT_TRUE(want_result.ok());
+    ASSERT_GT(want_result->stats.merges, 0u);
+    want = SignatureOf(*want_result);
+  }
   // The prefix-filter join at q = 3 is lossless: the O(n^2) oracle
   // resolves to the same labels.
   {
@@ -838,9 +861,7 @@ TEST(KernelEngineTest, Q3MetricArmsKernelsAndStaysLossless) {
     EXPECT_EQ(want.labels, SignatureOf(*got).labels) << "nested-loop oracle";
   }
   for (KernelDispatch tier : kSweepTiers) {
-    HeraOptions opts;
-    opts.metric = "jaccard_q3";
-    opts.kernel_dispatch = tier;
+    ScopedKernelDispatch pin(tier);
     uint64_t before = KernelCountersNow().simd_intersections;
     auto got = Hera(opts).Run(ds);
     ASSERT_TRUE(got.ok());
@@ -853,7 +874,6 @@ TEST(KernelEngineTest, Q3MetricArmsKernelsAndStaysLossless) {
           << KernelDispatchToString(tier);
     }
   }
-  SetActiveKernelDispatch(KernelDispatch::kAuto);
 }
 
 // --------------------------------------- dense weight loops (baselines)
@@ -862,18 +882,16 @@ TEST(KernelEngineTest, Q3MetricArmsKernelsAndStaysLossless) {
 std::vector<Value> RandomValues(std::mt19937* rng,
                                 const std::vector<std::string>& corpus,
                                 size_t n) {
-  std::vector<Value> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<Value> out(n);  // Value-initialized: null.
+  for (Value& v : out) {
     switch ((*rng)() % 5) {
       case 0:
-        out.push_back(Value(static_cast<double>((*rng)() % 2000)));
+        v = Value(static_cast<double>((*rng)() % 2000));
         break;
       case 1:
-        out.push_back(Value());  // null
-        break;
+        break;  // null
       default:
-        out.push_back(Value(corpus[(*rng)() % corpus.size()]));
+        v = Value(corpus[(*rng)() % corpus.size()]);
         break;
     }
   }
@@ -924,20 +942,18 @@ TEST(BestPairScorerTest, KernelDetectionMatchesTheMetricFamily) {
       BestPairScorer(*MakeSimilarity("hybrid(dice_q2)")).kernel_active());
   EXPECT_FALSE(BestPairScorer(*MakeSimilarity("edit")).kernel_active());
   EXPECT_FALSE(BestPairScorer(*MakeSimilarity("jaro_winkler")).kernel_active());
-  EXPECT_FALSE(
-      BestPairScorer(*MakeSimilarity("jaccard_q2"), false).kernel_active());
   // Edit-family metrics take the bounded Myers path instead.
   EXPECT_TRUE(BestPairScorer(*MakeSimilarity("edit")).edit_active());
   EXPECT_TRUE(BestPairScorer(*MakeSimilarity("hybrid(edit)")).edit_active());
-  EXPECT_FALSE(BestPairScorer(*MakeSimilarity("edit"), false).edit_active());
   EXPECT_FALSE(BestPairScorer(*MakeSimilarity("jaccard_q2")).edit_active());
 }
 
 TEST(BestPairScorerTest, ClusterSimilarityIdenticalWithScorerOnAndOff) {
   const std::vector<std::string> corpus = TestCorpus();
   auto simv = MakeSimilarity("hybrid(jaccard_q2)");
-  BestPairScorer on(*simv, true);
-  BestPairScorer off(*simv, false);
+  // One scorer across every call, so its encoding memo is exercised;
+  // the scorer-less overload builds a fresh scorer per call.
+  BestPairScorer scorer(*simv);
   std::mt19937 rng(13);
   for (int trial = 0; trial < 40; ++trial) {
     // Two members per cluster so attributes hold several values each.
@@ -950,23 +966,10 @@ TEST(BestPairScorerTest, ClusterSimilarityIdenticalWithScorerOnAndOff) {
     cb.Absorb(HomogeneousCluster::FromRecord(
         Record(3, 0, RandomValues(&rng, corpus, 4))));
     for (double xi : {0.3, 0.5, 0.8}) {
-      EXPECT_EQ(ClusterSimilarity(ca, cb, on, xi),
-                ClusterSimilarity(ca, cb, off, xi));
+      EXPECT_EQ(ClusterSimilarity(ca, cb, scorer, xi),
+                ClusterSimilarity(ca, cb, *simv, xi));
     }
   }
-}
-
-TEST(BestPairScorerTest, TokenBlockingLabelsUnchangedByKernelToggle) {
-  MovieGeneratorConfig config;
-  config.num_records = 150;
-  config.num_entities = 30;
-  config.seed = 21;
-  Dataset ds = GenerateMovieDataset(config);
-  auto simv = MakeSimilarity("hybrid(jaccard_q2)");
-  TokenBlockingEROptions on;
-  TokenBlockingEROptions off;
-  off.use_encoded_kernels = false;
-  EXPECT_EQ(TokenBlockingER(ds, *simv, on), TokenBlockingER(ds, *simv, off));
 }
 
 }  // namespace

@@ -635,7 +635,9 @@ TEST(ObsIntegrationTest, IncrementalRoundsAccumulate) {
   for (size_t i = 0; i < ds.records().size(); ++i) {
     const Record& r = ds.records()[i];
     ASSERT_TRUE((*inc)->AddRecord(r.schema_id(), r.values()).ok());
-    if (i + 1 == half) ASSERT_TRUE((*inc)->Resolve().ok());
+    if (i + 1 == half) {
+      ASSERT_TRUE((*inc)->Resolve().ok());
+    }
   }
   ASSERT_TRUE((*inc)->Resolve().ok());
   obs::RunReport report = (*inc)->Report();

@@ -191,8 +191,9 @@ TEST(RobustnessTest, JoinExactWithToleranceMetric) {
   std::vector<LabeledValue> values;
   Rng rng(61);
   for (uint32_t i = 0; i < 60; ++i) {
-    values.push_back({ValueLabel{i, 0, 0},
-                      Value(static_cast<double>(rng.UniformInt(-10, 10)))});
+    LabeledValue& lv = values.emplace_back();
+    lv.label = ValueLabel{i, 0, 0};
+    lv.value = Value(static_cast<double>(rng.UniformInt(-10, 10)));
   }
   for (double xi : {0.3, 0.5, 0.8, 1.0}) {
     auto fast = PrefixFilterJoin().Join(values, *metric, xi);

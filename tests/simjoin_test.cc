@@ -159,7 +159,7 @@ TEST_P(JoinEquivalenceTest, PrefixFilterEqualsOracle) {
     uint32_t fields = 1 + static_cast<uint32_t>(rng.Uniform(4));
     for (uint32_t f = 0; f < fields; ++f) {
       std::string s = kWords[rng.Uniform(10)];
-      if (rng.Bernoulli(0.5)) s += " " + std::string(kWords[rng.Uniform(10)]);
+      if (rng.Bernoulli(0.5)) s.append(" ").append(kWords[rng.Uniform(10)]);
       if (rng.Bernoulli(0.3)) s[rng.Uniform(s.size())] = 'z';  // Typo.
       values.push_back({ValueLabel{r, f, 0}, Value(s)});
     }

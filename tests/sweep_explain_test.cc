@@ -1,5 +1,4 @@
-// Tests for the delta sweep helper, the pair explanation API, and the
-// corpus-model builders.
+// Tests for the pair explanation API and the corpus-model builders.
 
 #include <gtest/gtest.h>
 
@@ -7,56 +6,12 @@
 
 #include "core/explain.h"
 #include "core/hera.h"
-#include "core/sweep.h"
 #include "data/corpus_model.h"
 #include "sim/metrics.h"
 #include "testing_util.h"
 
 namespace hera {
 namespace {
-
-// ------------------------------------------------------------- SweepDelta
-
-TEST(SweepDeltaTest, RequiresGroundTruth) {
-  Dataset ds;
-  uint32_t s = ds.schemas().Register(Schema("S", {"a"}));
-  ds.AddRecord(s, {Value("x")});
-  auto sweep = SweepDelta(ds, HeraOptions{}, {0.5});
-  EXPECT_FALSE(sweep.ok());
-  EXPECT_EQ(sweep.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(SweepDeltaTest, RejectsEmptyGrid) {
-  Dataset ds = testing_util::MakeCustomersDataset();
-  EXPECT_FALSE(SweepDelta(ds, HeraOptions{}, {}).ok());
-}
-
-TEST(SweepDeltaTest, ProducesOnePointPerDelta) {
-  Dataset ds = testing_util::MakeCustomersDataset();
-  auto sweep = SweepDelta(ds, HeraOptions{}, {0.3, 0.5, 0.9});
-  ASSERT_TRUE(sweep.ok());
-  ASSERT_EQ(sweep->size(), 3u);
-  EXPECT_DOUBLE_EQ((*sweep)[0].delta, 0.3);
-  EXPECT_DOUBLE_EQ((*sweep)[2].delta, 0.9);
-  // At delta = 0.5 the example resolves perfectly (Fig 8).
-  EXPECT_DOUBLE_EQ((*sweep)[1].metrics.f1, 1.0);
-}
-
-TEST(SweepDeltaTest, BestByF1PicksOptimum) {
-  Dataset ds = testing_util::MakeCustomersDataset();
-  auto sweep = SweepDelta(ds, HeraOptions{}, {0.1, 0.5, 0.99});
-  ASSERT_TRUE(sweep.ok());
-  const SweepPoint& best = BestByF1(*sweep);
-  EXPECT_DOUBLE_EQ(best.delta, 0.5);
-  EXPECT_DOUBLE_EQ(best.metrics.f1, 1.0);
-}
-
-TEST(SweepDeltaTest, PropagatesBadOptions) {
-  Dataset ds = testing_util::MakeCustomersDataset();
-  HeraOptions bad;
-  bad.metric = "nope";
-  EXPECT_FALSE(SweepDelta(ds, bad, {0.5}).ok());
-}
 
 // ------------------------------------------------------------ ExplainPair
 

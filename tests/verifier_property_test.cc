@@ -30,7 +30,9 @@ SuperRecord RandomSuperRecord(uint32_t rid, size_t fields, Rng* rng) {
                           "golf hotel",   "golf hotels", "india juliet"};
   Dataset scratch;
   std::vector<std::string> attr_names;
-  for (size_t i = 0; i < fields; ++i) attr_names.push_back("a" + std::to_string(i));
+  for (size_t i = 0; i < fields; ++i) {
+    attr_names.push_back(std::string("a").append(std::to_string(i)));
+  }
   uint32_t sid = scratch.schemas().Register(Schema("S", attr_names));
   std::vector<Value> values;
   for (size_t i = 0; i < fields; ++i) {
