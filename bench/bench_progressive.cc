@@ -1,14 +1,14 @@
-// Quality-vs-budget curves for progressive (best-first frontier)
-// execution against the blind canonical-order baseline, on the
-// ambiguity corpus (data/ambiguity_generator.h) whose decoys sit at
-// low record ids — exactly where a blind budget burns first.
+// Quality-vs-budget curve of the best-first frontier that a
+// verification budget turns on, on the ambiguity corpus
+// (data/ambiguity_generator.h) whose decoys sit at low record ids —
+// exactly where a canonical-order budget would burn first.
 //
 // The curve is deterministic: it counts verifications and measures
 // pair recall, no wall clock involved, so the committed baseline is a
 // tight regression gate. tools/bench_compare.py gates
-// progressive.recall_gain_50 (best-first recall / blind recall at 50%
-// of the full budget); a frontier that silently degrades to canonical
-// order collapses the gain to ~0.5x and fails loudly.
+// progressive.recall_50 (frontier recall at 50% of the full budget,
+// 1/3 on this corpus); a frontier that silently degrades to canonical
+// order recalls 0.167 there and fails loudly.
 //
 // Plain executable (no google-benchmark dependency) so it can run in
 // the CI bench-smoke job. With HERA_BENCH_JSON_DIR set it writes
@@ -35,16 +35,12 @@ namespace {
 struct CurvePoint {
   double fraction = 0;       // Budget as a fraction of the full run's V.
   size_t budget = 0;         // max_verifications handed to the guard.
-  size_t blind_spent = 0;    // Verifications actually spent, blind.
-  size_t frontier_spent = 0; // ... and best-first (must equal budget).
-  double blind_recall = 0;
+  size_t frontier_spent = 0; // Verifications spent (must equal budget).
   double frontier_recall = 0;
-  double gain = 0;           // frontier_recall / blind_recall.
 };
 
-HeraResult RunGoverned(const Dataset& ds, bool progressive, size_t budget) {
+HeraResult RunBudgeted(const Dataset& ds, size_t budget) {
   HeraOptions opts;
-  opts.progressive = progressive;
   opts.num_threads = BenchThreads();
   opts.guard.WithMaxVerifications(budget);
   auto result = Hera(opts).Run(ds);
@@ -70,22 +66,19 @@ void WriteJson(size_t entities, size_t decoys, size_t total_verifications,
   w.Key("progressive").BeginObject();
   w.Key("total_verifications").UInt(total_verifications);
   w.Key("full_recall").Number(full_recall);
-  double gain_50 = 0;
+  double recall_50 = 0;
   for (const CurvePoint& p : curve) {
-    if (p.fraction == 0.5) gain_50 = p.gain;
+    if (p.fraction == 0.5) recall_50 = p.frontier_recall;
   }
-  w.Key("recall_gain_50").Number(gain_50);
+  w.Key("recall_50").Number(recall_50);
   w.EndObject();
   w.Key("curve").BeginArray();
   for (const CurvePoint& p : curve) {
     w.BeginObject();
     w.Key("fraction").Number(p.fraction);
     w.Key("budget").UInt(p.budget);
-    w.Key("blind_spent").UInt(p.blind_spent);
     w.Key("frontier_spent").UInt(p.frontier_spent);
-    w.Key("blind_recall").Number(p.blind_recall);
     w.Key("frontier_recall").Number(p.frontier_recall);
-    w.Key("gain").Number(p.gain);
     w.EndObject();
   }
   w.EndArray();
@@ -107,11 +100,10 @@ int Run() {
   config.seed = 11;
   Dataset ds = GenerateAmbiguousDataset(config);
 
-  // Gauge the governed progressive run's own verification demand: the
-  // frontier reorders verification, so its total can differ from the
-  // canonical run's. Budgets are fractions of this V.
+  // Gauge the budgeted run's own verification demand: the frontier
+  // reorders verification, so its total can differ from the canonical
+  // run's. Budgets are fractions of this V.
   HeraOptions gauge;
-  gauge.progressive = true;
   gauge.num_threads = BenchThreads();
   gauge.guard.WithMaxVerifications(1u << 30);
   auto full = Hera(gauge).Run(ds);
@@ -126,32 +118,25 @@ int Run() {
   std::printf("quality vs verification budget (%zu entities, %zu decoys, "
               "full run: %zu verifications, recall %.3f)\n",
               config.num_entities, config.num_decoys, total, full_recall);
-  PrintRule(72);
-  std::printf("%-8s %-8s %14s %14s %8s\n", "budget", "(frac)", "blind recall",
-              "frontier recall", "gain");
+  PrintRule(40);
+  std::printf("%-8s %-8s %16s\n", "budget", "(frac)", "frontier recall");
 
   std::vector<CurvePoint> curve;
   for (double fraction : {0.25, 0.5, 0.75}) {
     CurvePoint p;
     p.fraction = fraction;
     p.budget = static_cast<size_t>(static_cast<double>(total) * fraction);
-    auto blind = RunGoverned(ds, /*progressive=*/false, p.budget);
-    auto frontier = RunGoverned(ds, /*progressive=*/true, p.budget);
-    if (blind.stats.outcome != RunOutcome::kTruncatedBudget ||
-        frontier.stats.outcome != RunOutcome::kTruncatedBudget) {
+    auto frontier = RunBudgeted(ds, p.budget);
+    if (frontier.stats.outcome != RunOutcome::kTruncatedBudget) {
       std::fprintf(stderr, "budget %zu did not bind\n", p.budget);
       return 1;
     }
-    p.blind_spent = blind.stats.candidates;
     p.frontier_spent = frontier.stats.candidates;
-    p.blind_recall = EvaluatePairs(blind.entity_of, ds.entity_of()).recall;
     p.frontier_recall =
         EvaluatePairs(frontier.entity_of, ds.entity_of()).recall;
-    p.gain = p.blind_recall > 0 ? p.frontier_recall / p.blind_recall
-                                : p.frontier_recall > 0 ? 99.0 : 1.0;
     curve.push_back(p);
-    std::printf("%-8zu %-8.2f %14.3f %14.3f %7.2fx\n", p.budget, p.fraction,
-                p.blind_recall, p.frontier_recall, p.gain);
+    std::printf("%-8zu %-8.2f %16.3f\n", p.budget, p.fraction,
+                p.frontier_recall);
   }
 
   WriteJson(config.num_entities, config.num_decoys, total, full_recall, curve);

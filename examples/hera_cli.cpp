@@ -8,8 +8,7 @@
 //                    [--timeline-interval-ms MS]
 //                    [--checkpoint-dir DIR] [--checkpoint-every K]
 //                    [--resume] [--deadline-ms MS]
-//                    [--progressive] [--max-verifications N]
-//                    [--frontier-capacity C]
+//                    [--max-verifications N]
 //   hera_cli generate <movies|publications|ambiguous> <output.hera>
 //                    [--records N] [--entities E] [--seed S] [--decoys D]
 //   hera_cli stats <input.hera>
@@ -43,14 +42,13 @@
 // --resume continues from the directory's newest checkpoint (falling
 // back to a fresh run when it holds none).
 //
-// Progressive mode: --progressive verifies candidate groups best-first
-// (highest similarity upper bound first) whenever the run is governed,
-// so a budget or deadline cut sheds the least promising work;
-// --max-verifications N caps total verifier invocations and
-// --frontier-capacity C bounds the per-pass reordering (see
-// docs/operational_limits.md, "Progressive mode"). SIGINT/SIGTERM are
-// converted into cooperative cancellation: the run stops at its next
-// safe point, checkpoints, and exits 2 with a resume hint.
+// Verification budget: --max-verifications N caps total verifier
+// invocations and verifies each pass's candidate groups best-first
+// (highest similarity upper bound first), so the cut sheds the least
+// promising work (see docs/operational_limits.md, "Verification
+// budget"). SIGINT/SIGTERM are converted into cooperative
+// cancellation: the run stops at its next safe point, checkpoints, and
+// exits 2 with a resume hint.
 //
 // Exit codes: 0 the run completed; 2 the run ended governed (degraded,
 // iteration cap, budget spent, or truncated — the labeling is valid
@@ -99,8 +97,7 @@ int Usage() {
       "                   [--timeline-interval-ms MS]\n"
       "                   [--checkpoint-dir DIR] [--checkpoint-every K]\n"
       "                   [--resume] [--deadline-ms MS]\n"
-      "                   [--progressive] [--max-verifications N]\n"
-      "                   [--frontier-capacity C]\n"
+      "                   [--max-verifications N]\n"
       "  hera_cli generate <movies|publications|ambiguous> <output.hera>\n"
       "                   [--records N] [--entities E] [--seed S]\n"
       "                   [--decoys D]   (ambiguous only; --records unused)\n"
@@ -222,8 +219,8 @@ int CmdResolve(int argc, char** argv) {
                   "--out", "--emit-report", "--trace-out",
                   "--timeline-csv", "--timeline-interval-ms",
                   "--checkpoint-dir", "--checkpoint-every", "--deadline-ms",
-                  "--max-verifications", "--frontier-capacity"},
-                 {"--quiet", "--resume", "--progressive"}, &args)) {
+                  "--max-verifications"},
+                 {"--quiet", "--resume"}, &args)) {
     return Usage();
   }
   HeraOptions opts;
@@ -239,8 +236,7 @@ int CmdResolve(int argc, char** argv) {
       !ParseFlag(args, "--threads", &opts.num_threads) ||
       !ParseFlag(args, "--checkpoint-every", &opts.checkpoint_every) ||
       !ParseFlag(args, "--deadline-ms", &deadline_ms) ||
-      !ParseFlag(args, "--max-verifications", &max_verifications) ||
-      !ParseFlag(args, "--frontier-capacity", &opts.frontier_capacity)) {
+      !ParseFlag(args, "--max-verifications", &max_verifications)) {
     return Usage();
   }
   if (args.Value("--deadline-ms") != nullptr && deadline_ms < 0.0) {
@@ -262,14 +258,12 @@ int CmdResolve(int argc, char** argv) {
                  dispatch_env);
     return Usage();
   }
-  opts.progressive = args.Has("--progressive");
   const bool quiet = args.Has("--quiet");
-  if (opts.progressive && !quiet) {
-    opts.guard.WithBudgetObserver([](const char* reason) {
+  if (max_verifications > 0 && !quiet) {
+    opts.guard.WithBudgetObserver([] {
       std::fprintf(stderr,
-                   "progressive cut (%s): draining frontier and writing "
-                   "checkpoint\n",
-                   reason);
+                   "verification budget spent: deferring the pass's "
+                   "unverified candidate groups\n");
     });
   }
   // An operator Ctrl-C (or a supervisor's SIGTERM) becomes cooperative
@@ -378,12 +372,6 @@ int CmdResolve(int argc, char** argv) {
       std::fprintf(stderr, "%s", result->report.ToString().c_str());
       std::fprintf(stderr, "report written to %s\n", report_path);
     }
-  }
-  if (opts.collect_report && result->report.empty()) {
-    std::fprintf(stderr,
-                 "note: this build has observability compiled out "
-                 "(-DHERA_OBS=OFF); report/trace/timeline output is "
-                 "empty-but-valid\n");
   }
   if (trace_path != nullptr) {
     Status wst = AtomicWriteFile(trace_path,

@@ -12,10 +12,10 @@ Status RunGuard::StatusIfInterrupted() const {
   return Status::OK();
 }
 
-void RunGuard::NotifyBudgetCut(const char* reason) const {
+void RunGuard::NotifyBudgetCut() const {
   if (!observer_ || !*observer_ || !observer_fired_) return;
   if (observer_fired_->exchange(true, std::memory_order_relaxed)) return;
-  (*observer_)(reason);
+  (*observer_)();
 }
 
 }  // namespace hera

@@ -109,21 +109,21 @@ class RunGuard {
 
   /// Verification budget: total verifier invocations this run may
   /// spend (0 = unlimited). Counted from Arm(), so a resumed run gets
-  /// a fresh budget, like a deadline. Under HeraOptions::progressive
-  /// the budget is spent best-first (highest similarity upper bound
-  /// first); groups left unverified at exhaustion are deferred into
-  /// the checkpointable queue, not dropped.
+  /// a fresh budget, like a deadline. A budget turns on best-first
+  /// order: each pass verifies its candidate groups highest
+  /// similarity upper bound first, and groups left unverified at
+  /// exhaustion are deferred into the checkpointable queue, not
+  /// dropped.
   RunGuard& WithMaxVerifications(size_t n) {
     max_verifications_ = n;
     return *this;
   }
 
-  /// Hook fired (at most once per run) when the engine converts a
-  /// budget/deadline/cancellation trip into an orderly frontier drain
-  /// instead of a blind shed. `reason` is a static string such as
-  /// "budget", "deadline", or "cancelled". Fired on the controller
-  /// thread, before the truncation checkpoint is written.
-  using BudgetObserver = std::function<void(const char* reason)>;
+  /// Hook fired (at most once per run) when the verification budget
+  /// runs out and the engine starts deferring the rest of the pass.
+  /// Fired on the controller thread, before the truncation checkpoint
+  /// is written. Deadlines and cancellation do not fire it.
+  using BudgetObserver = std::function<void()>;
 
   /// Attaches a budget observer. Copies of the guard share the
   /// observer and its fired-once latch.
@@ -159,11 +159,10 @@ class RunGuard {
   /// stop — for callers that want an error instead of a partial result.
   Status StatusIfInterrupted() const;
 
-  /// Fires the budget observer with `reason`, exactly once across all
-  /// copies of this guard; later calls (and calls with no observer)
-  /// are no-ops. Called by the engine at the first budget/guard cut of
-  /// a progressive run.
-  void NotifyBudgetCut(const char* reason) const;
+  /// Fires the budget observer exactly once across all copies of this
+  /// guard; later calls (and calls with no observer) are no-ops. Called
+  /// by the engine at the first budget cut of a run.
+  void NotifyBudgetCut() const;
 
   size_t max_index_pairs() const { return max_index_pairs_; }
   size_t max_posting_list() const { return max_posting_list_; }
@@ -171,10 +170,6 @@ class RunGuard {
     return max_candidates_per_iteration_;
   }
   size_t max_verifications() const { return max_verifications_; }
-
-  /// True when a deadline or cancellation token is configured (the
-  /// conditions Interrupted() watches, as opposed to the ceilings).
-  bool watched() const { return watched_; }
 
   /// True when any deadline, token, or ceiling is configured.
   bool active() const {

@@ -47,7 +47,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     joiner_->SetExecutor(pool_.get());
   }
   index_.SetCeilings(guard_.max_index_pairs(), guard_.max_posting_list());
-#ifndef HERA_DISABLE_OBS
   // A timeline interval implies report collection: the samples land in
   // the report's timeline section.
   if (options_.collect_report || options_.timeline_interval_ms > 0) {
@@ -78,8 +77,8 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     // controller-thread-only.
     c_merges_ = m.GetCounter("engine.merges");
     c_verified_groups_ = m.GetCounter("engine.verified_groups");
-    // Progressive-mode quality family; stays at zero for
-    // non-progressive runs (docs/observability.md).
+    // Best-first quality family; stays at zero unless a verification
+    // budget is set (docs/observability.md).
     c_frontier_groups_ = m.GetCounter("quality.frontier_groups");
     c_frontier_verified_ = m.GetCounter("quality.frontier_verified");
     c_frontier_deferred_ = m.GetCounter("quality.frontier_deferred");
@@ -127,7 +126,7 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
           return static_cast<double>(pc->stats().entries);
         });
       }
-      if (options_.progressive) {
+      if (guard_.max_verifications() > 0) {
         // Paired with the `merges` track above this samples the
         // recall-vs-verified-pairs curve: merges (recall proxy, and
         // exact recall once labels are scored) as a function of
@@ -139,7 +138,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       }
     }
   }
-#endif
 }
 
 void ResolutionEngine::AddRecords(const std::vector<Record>& records) {
@@ -522,6 +520,7 @@ Status ResolutionEngine::IterateToFixpoint() {
       uint32_t i = 0, j = 0;  // Pass-start roots, i < j.
       bool same_root = false;
       bool loaded = false;    // pairs (and bounds, if any) computed.
+      bool needs_verify = false;  // Bounds leave the group to KM.
       bool verified = false;  // vr holds a speculative KM result.
       std::vector<IndexedPair> pairs;
       BoundResult bounds;
@@ -531,10 +530,11 @@ Status ResolutionEngine::IterateToFixpoint() {
     std::vector<GroupPlan> plans;
     const bool parallel_phase_a =
         pool_ != nullptr && pool_->size() > 1 && groups.size() > 1;
-    // Progressive mode needs every group's similarity upper bound
-    // before Phase B starts (the frontier is ordered by it), so it
-    // forces plan-building even on the serial path.
-    if ((parallel_phase_a || options_.progressive) && !groups.empty()) {
+    // A verification budget orders the pass best-first (below), which
+    // needs every group's similarity upper bound before Phase B starts,
+    // so it builds plans even on the serial path.
+    const bool frontier_active = guard_.max_verifications() > 0;
+    if ((parallel_phase_a || frontier_active) && !groups.empty()) {
       // Roots are resolved serially: Find path-compresses.
       plans.resize(groups.size());
       for (size_t k = 0; k < groups.size(); ++k) {
@@ -546,6 +546,22 @@ Status ResolutionEngine::IterateToFixpoint() {
         plans[k].same_root = i == j;
       }
     }
+    // Loads one plan's pairs and bounds against the pass-start state;
+    // read-only, so workers may call it concurrently.
+    auto load_plan = [&](GroupPlan& plan) {
+      if (plan.same_root) return;
+      auto it_i = active_.find(plan.i);
+      auto it_j = active_.find(plan.j);
+      if (it_i == active_.end() || it_j == active_.end()) return;
+      plan.pairs = index_.PairsFor(plan.i, plan.j);
+      plan.loaded = true;
+      if (plan.pairs.empty()) return;
+      plan.bounds = ComputeBounds(plan.pairs, it_i->second.num_fields(),
+                                  it_j->second.num_fields(),
+                                  options_.tight_bounds);
+      plan.needs_verify = plan.bounds.upper >= options_.delta &&
+                          plan.bounds.upper != plan.bounds.lower;
+    };
     if (parallel_phase_a) {
       std::atomic<bool> stop{false};
       const double phase_a_t0 = trace_ ? trace_->tracer().ElapsedMs() : 0.0;
@@ -556,27 +572,15 @@ Status ResolutionEngine::IterateToFixpoint() {
             for (size_t k = begin; k < end; ++k) {
               if (stop.load(std::memory_order_relaxed)) return;
               GroupPlan& plan = plans[k];
-              if (plan.same_root) continue;
-              auto it_i = active_.find(plan.i);
-              auto it_j = active_.find(plan.j);
-              if (it_i == active_.end() || it_j == active_.end()) continue;
-              plan.pairs = index_.PairsFor(plan.i, plan.j);
-              if (plan.pairs.empty()) {
-                plan.loaded = true;
-                continue;
-              }
-              plan.bounds = ComputeBounds(plan.pairs, it_i->second.num_fields(),
-                                          it_j->second.num_fields(),
-                                          options_.tight_bounds);
-              plan.loaded = true;
-              if (plan.bounds.upper < options_.delta) continue;
-              if (plan.bounds.upper == plan.bounds.lower) continue;
+              load_plan(plan);
+              if (!plan.needs_verify) continue;
               if (guard_.Interrupted()) {
                 stop.store(true, std::memory_order_relaxed);
                 return;
               }
               Timer verify_timer;
-              plan.vr = verifier.Verify(it_i->second, it_j->second, plan.pairs);
+              plan.vr = verifier.Verify(active_.at(plan.i), active_.at(plan.j),
+                                        plan.pairs);
               plan.verify_us = verify_timer.ElapsedMicros();
               plan.verified = true;
             }
@@ -593,26 +597,11 @@ Status ResolutionEngine::IterateToFixpoint() {
                                  trace_->tracer().iteration()});
         }
       }
-    } else if (options_.progressive && !plans.empty()) {
-      // Serial path: finish the plans inline — pairs and bounds only;
-      // verification stays in Phase B against the live predictor
-      // state. These are the same PairsFor lookups Phase B would
-      // otherwise issue.
-      for (GroupPlan& plan : plans) {
-        if (plan.same_root) continue;
-        auto it_i = active_.find(plan.i);
-        auto it_j = active_.find(plan.j);
-        if (it_i == active_.end() || it_j == active_.end()) continue;
-        plan.pairs = index_.PairsFor(plan.i, plan.j);
-        if (plan.pairs.empty()) {
-          plan.loaded = true;
-          continue;
-        }
-        plan.bounds = ComputeBounds(plan.pairs, it_i->second.num_fields(),
-                                    it_j->second.num_fields(),
-                                    options_.tight_bounds);
-        plan.loaded = true;
-      }
+    } else if (frontier_active) {
+      // Serial best-first pass: pairs and bounds only; verification
+      // stays in Phase B against the live predictor state. These are
+      // the same PairsFor lookups Phase B would otherwise issue.
+      for (GroupPlan& plan : plans) load_plan(plan);
     }
 
     // Speculative KM results are valid only while the predictor's
@@ -639,30 +628,20 @@ Status ResolutionEngine::IterateToFixpoint() {
       return spec_valid;
     };
 
-    // Best-first frontier (progressive mode): when the run is governed
-    // — a verification budget, deadline, or cancellation token could
-    // cut it short — Phase B walks its verification-needing groups in
-    // descending similarity-upper-bound order, so whatever a cut
-    // leaves unverified is the least promising work. Groups the bounds
-    // decide for free (prune, direct merge, empty, dead) go first in
-    // canonical order: they cost no budget, and their merges can only
-    // sharpen later decisions. Ungoverned progressive passes keep pure
-    // canonical order — that is what makes an unbudgeted progressive
-    // run byte-identical (labels and merge_sequence) to the default.
-    const bool frontier_active =
-        options_.progressive &&
-        (guard_.max_verifications() > 0 || guard_.watched());
+    // Best-first frontier: under a verification budget, Phase B walks
+    // the pass's verification-needing groups in descending
+    // similarity-upper-bound order, so whatever the budget leaves
+    // unverified is the least promising work. Groups the bounds decide
+    // for free (prune, direct merge, empty, dead) go first in canonical
+    // order: they cost no budget, and their merges can only sharpen
+    // later decisions. Without a budget the pass keeps the paper's
+    // canonical order.
     std::vector<size_t> order;
     if (frontier_active && !plans.empty()) {
-      std::vector<size_t> free_list, verify_list;
-      free_list.reserve(groups.size());
+      std::vector<size_t> verify_list;
+      order.reserve(groups.size());
       for (size_t k = 0; k < groups.size(); ++k) {
-        const GroupPlan& p = plans[k];
-        const bool needs_verify = p.loaded && !p.same_root &&
-                                  !p.pairs.empty() &&
-                                  p.bounds.upper >= options_.delta &&
-                                  p.bounds.upper != p.bounds.lower;
-        (needs_verify ? verify_list : free_list).push_back(k);
+        (plans[k].needs_verify ? verify_list : order).push_back(k);
       }
       std::sort(verify_list.begin(), verify_list.end(),
                 [&](size_t a, size_t b) {
@@ -671,33 +650,21 @@ Status ResolutionEngine::IterateToFixpoint() {
                   if (ua != ub) return ua > ub;
                   return a < b;  // Canonical order breaks ties.
                 });
-      // A frontier capacity bounds the reordering: only the top-C
-      // groups jump the queue; the tail reverts to canonical order
-      // behind them.
-      if (options_.frontier_capacity > 0 &&
-          verify_list.size() > options_.frontier_capacity) {
-        std::sort(verify_list.begin() +
-                      static_cast<std::ptrdiff_t>(options_.frontier_capacity),
-                  verify_list.end());
-      }
       stats_.frontier_groups += verify_list.size();
       if (c_frontier_groups_ != nullptr) {
         c_frontier_groups_->Inc(verify_list.size());
       }
-      order = std::move(free_list);
       order.insert(order.end(), verify_list.begin(), verify_list.end());
     } else {
       order.resize(groups.size());
       for (size_t k = 0; k < order.size(); ++k) order[k] = k;
     }
 
-    // First budget/guard cut this pass (null = none): names the cause
-    // for the observer, trace, and outcome.
-    const char* cut_reason = nullptr;
-    bool cut_is_budget = false;
+    // Set at the pass's first group deferred by a spent budget.
+    bool budget_cut = false;
 
     // Phase B (serial): replay the paper's loop in frontier order
-    // (canonical unless progressive governance reordered it above),
+    // (canonical unless a verification budget reordered it above),
     // adopting each speculative plan when its inputs are still
     // pass-start fresh and recomputing inline otherwise. Merges, votes,
     // stats, and failpoints happen only here.
@@ -767,25 +734,19 @@ Status ResolutionEngine::IterateToFixpoint() {
           }
         }
       } else {
-        // Verification (Section IV). A spent verification budget — or,
-        // in progressive mode, a guard trip — defers the group
-        // unverified into the checkpointable queue instead of paying
-        // for it: the orderly frontier drain. Bound-decided groups
-        // above still resolve (they are free); only budgeted work
-        // stops. Non-progressive runs keep the historical behavior for
-        // deadline/cancel (stop at the next pass boundary).
-        const bool budget_out = BudgetExhausted();
-        if (budget_out || (frontier_active && guard_.Interrupted())) {
+        // Verification (Section IV). A spent verification budget
+        // defers the group unverified into the checkpointable queue
+        // instead of paying for it. Bound-decided groups above still
+        // resolve (they are free); only budgeted work stops. A deadline
+        // or cancellation stops the run at the next pass boundary.
+        if (BudgetExhausted()) {
           loop_deferred_.push_back(groups[gk]);
           ++stats_.budget_deferred_groups;
           if (c_frontier_deferred_ != nullptr) c_frontier_deferred_->Inc();
-          if (cut_reason == nullptr) {
-            cut_is_budget = budget_out;
-            cut_reason = budget_out           ? "budget"
-                         : guard_.Cancelled() ? "cancelled"
-                                              : "deadline";
-            guard_.NotifyBudgetCut(cut_reason);
-            if (trace_) trace_->tracer().Event("frontier.cut", cut_reason);
+          if (!budget_cut) {
+            budget_cut = true;
+            guard_.NotifyBudgetCut();
+            if (trace_) trace_->tracer().Event("frontier.cut", "budget");
           }
           continue;
         }
@@ -794,7 +755,7 @@ Status ResolutionEngine::IterateToFixpoint() {
         ++stats_.comparisons;
         ++budget_spent_;
         if (c_verified_groups_ != nullptr) c_verified_groups_->Inc();
-        if (options_.progressive && c_frontier_verified_ != nullptr) {
+        if (frontier_active && c_frontier_verified_ != nullptr) {
           c_frontier_verified_->Inc();
         }
         VerifyResult vr;
@@ -901,16 +862,16 @@ Status ResolutionEngine::IterateToFixpoint() {
     // Pass (and its WAL record) complete: the loop state is a valid
     // iteration boundary again.
     loop_needs_reset_ = false;
-    if (cut_reason != nullptr) {
-      // Budget/guard cut mid-pass: the pass is complete and durably
-      // logged (its deferred groups ride in deferred_after), so stop
-      // at this iteration boundary with a truncated outcome. The
-      // final snapshot below makes the cut resumable; a resumed run
-      // drains the deferred queue and converges to the same labels as
-      // an uninterrupted one.
-      RaiseOutcome(cut_is_budget ? RunOutcome::kTruncatedBudget
-                                 : TruncationOutcome());
-      if (trace_) trace_->tracer().Event("truncated", cut_reason);
+    if (budget_cut) {
+      // Budget cut mid-pass: the pass is complete and durably logged
+      // (its deferred groups ride in deferred_after), so stop at this
+      // iteration boundary with a truncated outcome. The final
+      // snapshot below makes the cut resumable; a resumed run drains
+      // the deferred queue and completes. It need not reproduce the
+      // uninterrupted run's labels: the cut changed which groups were
+      // verified in which pass (docs/operational_limits.md).
+      RaiseOutcome(RunOutcome::kTruncatedBudget);
+      if (trace_) trace_->tracer().Event("truncated", "budget");
       truncated_break = true;
       break;
     }
@@ -1076,7 +1037,7 @@ Status ResolutionEngine::ReplayWalEntry(const persist::WalEntry& entry) {
   if (c_frontier_deferred_ != nullptr) {
     c_frontier_deferred_->Inc(entry.budget_deferred);
   }
-  if (options_.progressive && c_frontier_verified_ != nullptr) {
+  if (entry.frontier_groups > 0 && c_frontier_verified_ != nullptr) {
     c_frontier_verified_->Inc(entry.candidates);
   }
   stats_.comparisons += static_cast<size_t>(entry.comparisons);

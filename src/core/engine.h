@@ -98,7 +98,7 @@ class ResolutionEngine {
   const RunGuard& guard() const { return guard_; }
 
   /// The run's observability context, or nullptr when
-  /// options.collect_report is off (or HERA_OBS was compiled out).
+  /// options.collect_report is off.
   /// Lives as long as the engine; spans all incremental rounds.
   obs::RunTrace* trace() { return trace_.get(); }
   const obs::RunTrace* trace() const { return trace_.get(); }
@@ -111,7 +111,7 @@ class ResolutionEngine {
   void StopTimelineSampler();
 
   /// The run's timeline sampler, or nullptr when
-  /// options.timeline_interval_ms is 0 (or HERA_OBS was compiled out).
+  /// options.timeline_interval_ms is 0.
   obs::TimelineSampler* timeline_sampler() { return sampler_.get(); }
 
   /// Installs a checkpoint manager (borrowed; the caller keeps it alive
@@ -249,11 +249,12 @@ class ResolutionEngine {
   /// same sites as their stats_ counterparts, including WAL replay.
   obs::Counter* c_merges_ = nullptr;
   obs::Counter* c_verified_groups_ = nullptr;
-  /// Progressive-mode quality family (quality.frontier_*): groups that
-  /// entered best-first ordering, groups verified under it, and groups
-  /// deferred unverified at a budget/guard cut. Together with the
-  /// sampled `merges` track they yield the recall-vs-verified-pairs
-  /// curve (merges found per verification spent).
+  /// Best-first quality family (quality.frontier_*), zero unless a
+  /// verification budget is set: groups that entered best-first
+  /// ordering, groups verified under it, and groups deferred
+  /// unverified at the budget cut. Together with the sampled `merges`
+  /// track they yield the recall-vs-verified-pairs curve (merges found
+  /// per verification spent).
   obs::Counter* c_frontier_groups_ = nullptr;
   obs::Counter* c_frontier_verified_ = nullptr;
   obs::Counter* c_frontier_deferred_ = nullptr;

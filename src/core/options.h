@@ -79,16 +79,22 @@ struct HeraOptions {
   /// kMaxNumThreads.
   size_t num_threads = 0;
 
-  /// Run governance: deadline, cancellation token, resource ceilings.
-  /// The default guard imposes nothing (and costs nothing). See
-  /// docs/operational_limits.md.
+  /// Run governance: deadline, cancellation token, resource ceilings,
+  /// verification budget. The default guard imposes nothing (and
+  /// costs nothing). A deadline or cancellation stops the run at the
+  /// next pass boundary, and a resumed run reproduces the uninterrupted
+  /// labels exactly. A verification budget (the only thing that
+  /// reorders a pass) verifies each pass best-first and defers the
+  /// unverified rest; the cut leaves a valid, resumable partition, but
+  /// the resumed run need not reach the uninterrupted run's labels.
+  /// See docs/operational_limits.md.
   RunGuard guard;
 
   /// Collect a structured RunReport (per-phase spans, per-iteration
   /// counters, histograms, governance events) on HeraResult::report.
   /// Off by default: the disabled path is a handful of null-pointer
-  /// checks, so Fig 12-style timings stay honest. Ignored when the
-  /// library is built with -DHERA_OBS=OFF. See docs/observability.md.
+  /// checks, so Fig 12-style timings stay honest. See
+  /// docs/observability.md.
   bool collect_report = false;
 
   /// Tick period of the background timeline sampler, which snapshots
@@ -96,8 +102,7 @@ struct HeraOptions {
   /// cache occupancy) into RunReport::timeline. 0 (the default)
   /// disables the sampler thread entirely. Implies report collection
   /// when set. Sampling is read-only over atomics — labels and
-  /// merge_sequence are byte-identical with it on or off. Ignored
-  /// under -DHERA_OBS=OFF.
+  /// merge_sequence are byte-identical with it on or off.
   size_t timeline_interval_ms = 0;
 
   /// Ring capacity of the timeline (oldest samples overwritten beyond
@@ -117,29 +122,6 @@ struct HeraOptions {
   /// when checkpoint_dir is set. Passes between snapshots cost one
   /// WAL fsync each.
   size_t checkpoint_every = 8;
-
-  /// Progressive (budget-aware) execution. When the run is governed —
-  /// a deadline, cancellation token, or verification budget
-  /// (RunGuard::WithMaxVerifications) is set — each pass verifies its
-  /// candidate groups best-first: ordered by descending similarity
-  /// upper bound (the exact OverlapUpperBound machinery of the
-  /// verification path) instead of canonical index order, so work shed
-  /// at the cut is the *least promising* work. On a cut, unverified
-  /// groups drain into the checkpointable deferred queue and the run
-  /// ends with a truncated outcome + final snapshot; `--resume` picks
-  /// them up and converges to the same labels as an uninterrupted run.
-  /// Ungoverned progressive runs keep canonical order — labels and
-  /// merge_sequence stay byte-identical to progressive=false at every
-  /// thread count. See docs/operational_limits.md
-  /// ("Progressive mode").
-  bool progressive = false;
-
-  /// Ceiling on the best-first frontier per pass (0 = unbounded):
-  /// only the `frontier_capacity` highest-upper-bound groups are
-  /// reordered ahead; the rest keep canonical order behind them. Caps
-  /// the O(V log V) ordering cost on huge passes; with a budget far
-  /// below capacity, quality is unchanged.
-  size_t frontier_capacity = 0;
 };
 
 /// Ceiling on HeraOptions::num_threads. The worker pool spawns exactly
@@ -216,12 +198,11 @@ struct HeraStats {
   /// shed_join_candidates for truncated joins).
   size_t shed_join_candidates = 0;
   /// Candidate groups that entered best-first frontier ordering
-  /// (progressive mode with governance active), cumulative over
-  /// passes.
+  /// (runs with a verification budget), cumulative over passes.
   size_t frontier_groups = 0;
   /// Groups deferred unverified because the verification budget ran
-  /// out or the guard tripped mid-pass in progressive mode. Deferred
-  /// groups persist in the checkpoint and are re-examined on resume.
+  /// out mid-pass. Deferred groups persist in the checkpoint and are
+  /// re-examined on resume.
   size_t budget_deferred_groups = 0;
 
   /// Every merge in application order, as (surviving rid, absorbed

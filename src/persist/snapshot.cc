@@ -231,7 +231,7 @@ std::string EncodeCore(const EngineState& s) {
     w.PutU32(b);
   }
 
-  // v2: progressive-mode stats. Appended last so the field order above
+  // v2: best-first budget stats. Appended last so the field order above
   // matches v1 byte-for-byte up to here.
   w.PutU64(st.shed_join_candidates);
   w.PutU64(st.frontier_groups);

@@ -38,7 +38,7 @@ namespace hera {
 namespace persist {
 
 /// Current snapshot format version. Bump on any layout change; readers
-/// reject versions they do not know. v2 added the progressive-mode
+/// reject versions they do not know. v2 added the best-first budget
 /// stats (frontier_groups, budget_deferred_groups, shed_join_candidates)
 /// to the core block and two per-pass deltas to WAL entries.
 inline constexpr uint32_t kSnapshotVersion = 2;

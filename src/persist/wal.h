@@ -56,9 +56,9 @@ struct WalEntry {
   double simplified_sum = 0.0;
   uint64_t simplified_count = 0;
   /// Groups that entered best-first frontier ordering this pass
-  /// (progressive mode; 0 otherwise).
+  /// (runs with a verification budget; 0 otherwise).
   uint64_t frontier_groups = 0;
-  /// Groups deferred unverified at a budget/guard cut this pass.
+  /// Groups deferred unverified at a budget cut this pass.
   uint64_t budget_deferred = 0;
 
   std::vector<WalMerge> merges;

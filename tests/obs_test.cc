@@ -463,9 +463,6 @@ TEST(ObsIntegrationTest, CollectReportFillsEverySection) {
   auto result = Hera(opts).Run(ds);
   ASSERT_TRUE(result.ok());
   const obs::RunReport& r = result->report;
-#ifdef HERA_DISABLE_OBS
-  EXPECT_TRUE(r.empty());
-#else
   ASSERT_TRUE(r.collected);
   EXPECT_EQ(r.outcome, "completed");
   EXPECT_EQ(r.stats.merges, result->stats.merges);
@@ -514,7 +511,6 @@ TEST(ObsIntegrationTest, CollectReportFillsEverySection) {
   std::string json = r.ToJson();
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
   EXPECT_NE(json.find("\"outcome\":\"completed\""), std::string::npos);
-#endif
 }
 
 TEST(ObsIntegrationTest, InstrumentedRunMatchesUninstrumented) {
@@ -530,8 +526,6 @@ TEST(ObsIntegrationTest, InstrumentedRunMatchesUninstrumented) {
   EXPECT_EQ(r1->stats.merges, r2->stats.merges);
   EXPECT_EQ(r1->stats.comparisons, r2->stats.comparisons);
 }
-
-#ifndef HERA_DISABLE_OBS
 
 TEST(ObsIntegrationTest, GovernanceEventsAppearInReport) {
   Dataset ds = testing_util::MakeCustomersDataset();
@@ -878,8 +872,6 @@ TEST(ChromeTraceTest, EmptyReportExportsValidTrace) {
   // Metadata-only (process/controller names), but schema-valid.
   EXPECT_GE(events->items.size(), 2u);
 }
-
-#endif  // HERA_DISABLE_OBS
 
 }  // namespace
 }  // namespace hera

@@ -434,17 +434,9 @@ TEST(ParallelEngineTest, ReportRecordsThreadCountAndWorkerActivity) {
   auto result = Hera(opts).Run(ds);
   ASSERT_TRUE(result.ok());
   const std::string json = result->report.ToJson();
-#ifndef HERA_DISABLE_OBS
   EXPECT_NE(json.find("parallel.num_threads"), std::string::npos);
   EXPECT_NE(json.find("tokens.interned"), std::string::npos);
-#else
-  // Instrumentation compiled out: the report is empty-but-valid.
-  EXPECT_TRUE(result->report.empty());
-  EXPECT_NE(json.find("\"collected\""), std::string::npos);
-#endif
 }
-
-#ifndef HERA_DISABLE_OBS
 
 TEST(ParallelEngineTest, WorkerSpansCoverJoinAndVerifyPhases) {
   Dataset ds = MovieData(200, 19);
@@ -521,8 +513,6 @@ TEST(ParallelEngineTest, ConcurrentSamplerIsRaceFreeUnderLoad) {
   EXPECT_GE(result->report.timeline.samples.size(), 2u);
   EXPECT_GT(result->stats.merges, 0u);
 }
-
-#endif  // HERA_DISABLE_OBS
 
 }  // namespace
 }  // namespace hera

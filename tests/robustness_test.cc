@@ -20,6 +20,7 @@
 #include "core/incremental.h"
 #include "data/ambiguity_generator.h"
 #include "data/csv.h"
+#include "data/movie_generator.h"
 #include "data/publication_generator.h"
 #include "eval/metrics.h"
 #include "sim/metrics.h"
@@ -374,23 +375,37 @@ TEST(GovernanceTest, PreCancelledTokenTruncates) {
   ExpectValidLabeling(*result, ds.size());
 }
 
+// A guard whose limits cannot bind must not change the result. The
+// movie corpus is order-sensitive: reordering any of its passes
+// best-first ends in a different partition, so it also proves that a
+// token and a deadline leave the pass order canonical.
 TEST(GovernanceTest, GenerousGuardMatchesUnguardedRun) {
-  // A guard whose limits cannot bind must not change the result.
-  Dataset ds = testing_util::MakeCustomersDataset();
-  auto plain = Hera(HeraOptions{}).Run(ds);
-  ASSERT_TRUE(plain.ok());
-  HeraOptions opts;
-  opts.guard.WithTimeoutMs(1e9)
-      .WithCancellation(CancellationToken::Make())
-      .WithMaxIndexPairs(1u << 30)
-      .WithMaxPostingList(1u << 30)
-      .WithMaxCandidatesPerIteration(1u << 30);
-  auto guarded = Hera(opts).Run(ds);
-  ASSERT_TRUE(guarded.ok());
-  EXPECT_EQ(guarded->stats.outcome, RunOutcome::kCompleted);
-  EXPECT_EQ(guarded->entity_of, plain->entity_of);
-  EXPECT_EQ(guarded->stats.merges, plain->stats.merges);
-  EXPECT_EQ(guarded->stats.index_size, plain->stats.index_size);
+  MovieGeneratorConfig movies;
+  movies.num_records = 200;
+  movies.num_entities = 15;
+  movies.seed = 7;
+  for (const Dataset& ds : {testing_util::MakeCustomersDataset(),
+                            GenerateMovieDataset(movies)}) {
+    for (size_t threads : {size_t{0}, size_t{4}}) {
+      HeraOptions base;
+      base.num_threads = threads;
+      auto plain = Hera(base).Run(ds);
+      ASSERT_TRUE(plain.ok()) << plain.status();
+      HeraOptions opts = base;
+      opts.guard.WithTimeoutMs(1e9)
+          .WithCancellation(CancellationToken::Make())
+          .WithMaxIndexPairs(1u << 30)
+          .WithMaxPostingList(1u << 30)
+          .WithMaxCandidatesPerIteration(1u << 30);
+      auto guarded = Hera(opts).Run(ds);
+      ASSERT_TRUE(guarded.ok()) << guarded.status();
+      EXPECT_EQ(guarded->stats.outcome, RunOutcome::kCompleted);
+      EXPECT_EQ(guarded->entity_of, plain->entity_of) << "threads=" << threads;
+      EXPECT_EQ(guarded->stats.merge_sequence, plain->stats.merge_sequence)
+          << "threads=" << threads;
+      EXPECT_EQ(guarded->stats.index_size, plain->stats.index_size);
+    }
+  }
 }
 
 // ------------------------------------------------------ resource ceilings
@@ -461,7 +476,7 @@ TEST(GovernanceTest, RunOutcomeNamesAreStable) {
                "truncated_cancelled");
 }
 
-// ------------------------------------------------- progressive execution
+// ------------------------------------------------- verification budget
 
 // The publication corpora resolve almost entirely through the bound
 // shortcuts (a handful of KM verifications end to end), so they cannot
@@ -476,29 +491,6 @@ Dataset MakeAmbiguous(size_t decoys = 20) {
   return GenerateAmbiguousDataset(cfg);
 }
 
-// Ungoverned progressive is a no-op by construction: the frontier only
-// engages when a budget, deadline, or token could cut the run, so with
-// none of those the pass order stays canonical and labels AND the merge
-// sequence are byte-identical to the default — at every thread count.
-TEST(ProgressiveTest, UngovernedRunIsByteIdenticalToDefault) {
-  Dataset ds = MakePublications();
-  for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-    HeraOptions base;
-    base.num_threads = threads;
-    auto plain = Hera(base).Run(ds);
-    ASSERT_TRUE(plain.ok()) << plain.status();
-
-    HeraOptions popts = base;
-    popts.progressive = true;
-    auto prog = Hera(popts).Run(ds);
-    ASSERT_TRUE(prog.ok()) << prog.status();
-    EXPECT_EQ(prog->stats.outcome, RunOutcome::kCompleted);
-    EXPECT_EQ(prog->entity_of, plain->entity_of) << "threads=" << threads;
-    EXPECT_EQ(prog->stats.merge_sequence, plain->stats.merge_sequence)
-        << "threads=" << threads;
-  }
-}
-
 TEST(ProgressiveTest, VerificationBudgetTruncatesWithValidLabels) {
   Dataset ds = MakeAmbiguous();
   auto plain = Hera(HeraOptions{}).Run(ds);
@@ -506,7 +498,6 @@ TEST(ProgressiveTest, VerificationBudgetTruncatesWithValidLabels) {
   ASSERT_GT(plain->stats.candidates, 5u) << "dataset needs no verification";
 
   HeraOptions opts;
-  opts.progressive = true;
   opts.guard.WithMaxVerifications(5);
   auto cut = Hera(opts).Run(ds);
   ASSERT_TRUE(cut.ok()) << cut.status();
@@ -518,62 +509,48 @@ TEST(ProgressiveTest, VerificationBudgetTruncatesWithValidLabels) {
   ExpectValidLabeling(*cut, ds.size());
 }
 
-// Blind shedding (the non-progressive baseline of the bench): the same
-// budget under canonical order also stops exactly at the budget with a
-// valid partial labeling — only the *choice* of shed work differs.
-TEST(ProgressiveTest, BlindShedBudgetAlsoTruncatesExactly) {
-  Dataset ds = MakeAmbiguous();
-  HeraOptions opts;
-  opts.guard.WithMaxVerifications(5);
-  auto cut = Hera(opts).Run(ds);
-  ASSERT_TRUE(cut.ok()) << cut.status();
-  EXPECT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget);
-  EXPECT_EQ(cut->stats.candidates, 5u);
-  EXPECT_GT(cut->stats.budget_deferred_groups, 0u);
-  // No frontier ordering happened in the blind baseline.
-  EXPECT_EQ(cut->stats.frontier_groups, 0u);
-  ExpectValidLabeling(*cut, ds.size());
-}
-
 // The point of the frontier: at the same partial budget, spending it
-// best-first (high upper bounds before decoys) recovers strictly more
-// of the ground truth than spending it in canonical order, because the
-// decoys sit at low record ids where a blind budget burns first.
+// best-first (high upper bounds before decoys) recovers more of the
+// ground truth than spending it in canonical order, because the decoys
+// sit at low record ids where a canonical-order budget burns first.
+// The library no longer has a canonical-order budget path, so the
+// recall is pinned: best-first reaches 1/3 at this budget, and the
+// canonical-order shed measured on the same corpus and budget before
+// it was removed reached 0.1778.
 TEST(ProgressiveTest, BestFirstBeatsBlindShedAtHalfBudget) {
   Dataset ds = MakeAmbiguous(/*decoys=*/30);
   HeraOptions gauge;
-  gauge.progressive = true;
   gauge.guard.WithMaxVerifications(1u << 30);
   auto full = Hera(gauge).Run(ds);
   ASSERT_TRUE(full.ok()) << full.status();
   ASSERT_EQ(full->stats.outcome, RunOutcome::kCompleted);
   const size_t budget = full->stats.candidates / 2;
-  ASSERT_GT(budget, 0u);
+  ASSERT_EQ(budget, 44u);
 
-  double recall[2];
-  for (bool progressive : {false, true}) {
-    HeraOptions opts;
-    opts.progressive = progressive;
-    opts.guard.WithMaxVerifications(budget);
-    auto cut = Hera(opts).Run(ds);
-    ASSERT_TRUE(cut.ok()) << cut.status();
-    EXPECT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget);
-    EXPECT_EQ(cut->stats.candidates, budget);
-    recall[progressive] = EvaluatePairs(cut->entity_of, ds.entity_of()).recall;
-  }
-  EXPECT_GT(recall[1], recall[0])
-      << "best-first recall=" << recall[1] << " blind recall=" << recall[0];
+  HeraOptions opts;
+  opts.guard.WithMaxVerifications(budget);
+  auto cut = Hera(opts).Run(ds);
+  ASSERT_TRUE(cut.ok()) << cut.status();
+  EXPECT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget);
+  EXPECT_EQ(cut->stats.candidates, budget);
+  const double recall = EvaluatePairs(cut->entity_of, ds.entity_of()).recall;
+  constexpr double kBlindRecall = 0.17777777777777778;
+  EXPECT_DOUBLE_EQ(recall, 1.0 / 3.0);
+  EXPECT_GT(recall, kBlindRecall);
 }
 
-// A budget generous enough never to bind must not change the fixpoint:
-// the frontier reorders verification, but deferral-confluence carries
-// the run to the same partition (and labels are canonical min-rids).
+// On the ambiguity corpus a budget generous enough never to bind does
+// not change the fixpoint: the frontier reorders verification, but
+// this corpus reaches the same partition in any pass order (and labels
+// are canonical min-rids). That is a property of the corpus, not of
+// the frontier: on an order-sensitive corpus such as movies, best-first
+// order alone can end in a different partition (see
+// GovernanceTest.GenerousGuardMatchesUnguardedRun).
 TEST(ProgressiveTest, NonBindingBudgetReachesDefaultFixpoint) {
   Dataset ds = MakeAmbiguous();
   auto plain = Hera(HeraOptions{}).Run(ds);
   ASSERT_TRUE(plain.ok());
   HeraOptions opts;
-  opts.progressive = true;
   opts.guard.WithMaxVerifications(1u << 30);
   auto prog = Hera(opts).Run(ds);
   ASSERT_TRUE(prog.ok()) << prog.status();
@@ -582,71 +559,52 @@ TEST(ProgressiveTest, NonBindingBudgetReachesDefaultFixpoint) {
   EXPECT_EQ(prog->entity_of, plain->entity_of);
 }
 
-// A small frontier capacity only bounds how much of the pass is
-// reordered; with the budget inside the reordered head, the spent
-// budget and outcome are unchanged.
-TEST(ProgressiveTest, FrontierCapacityCapsOrderingNotCorrectness) {
-  Dataset ds = MakeAmbiguous();
-  HeraOptions opts;
-  opts.progressive = true;
-  opts.frontier_capacity = 2;
-  opts.guard.WithMaxVerifications(2);
-  auto cut = Hera(opts).Run(ds);
-  ASSERT_TRUE(cut.ok()) << cut.status();
-  EXPECT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget);
-  EXPECT_EQ(cut->stats.candidates, 2u);
-  ExpectValidLabeling(*cut, ds.size());
-}
-
+// The observer fires once, at the budget cut; the outcome names the reason.
 TEST(ProgressiveTest, BudgetObserverFiresExactlyOnceWithReason) {
   Dataset ds = MakeAmbiguous();
   int fired = 0;
-  std::string reason;
   HeraOptions opts;
-  opts.progressive = true;
-  opts.guard.WithMaxVerifications(3).WithBudgetObserver(
-      [&](const char* r) {
-        ++fired;
-        reason = r;
-      });
+  opts.guard.WithMaxVerifications(3).WithBudgetObserver([&] { ++fired; });
   auto cut = Hera(opts).Run(ds);
   ASSERT_TRUE(cut.ok()) << cut.status();
   ASSERT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget);
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(reason, "budget");
 }
 
-// A cancellation mid-run under progressive drains through the same
-// orderly frontier path: the observer reports "cancelled" and the
-// partial labeling stays valid.
+#ifndef HERA_DISABLE_FAILPOINTS
+
+// A cancellation is not a budget cut: with a best-first budget set but
+// not spent, a token cancelled at the first verification lets the pass
+// finish, and the run stops at the pass boundary. No group is deferred
+// and the budget observer stays silent.
 TEST(ProgressiveTest, CancellationDrainsFrontierWithObserver) {
-  Dataset ds = MakePublications();
+  Dataset ds = MakeAmbiguous();
   CancellationToken token = CancellationToken::Make();
-  token.RequestCancel();
   int fired = 0;
-  std::string reason;
   HeraOptions opts;
-  opts.progressive = true;
-  opts.guard.WithCancellation(token).WithBudgetObserver([&](const char* r) {
-    ++fired;
-    reason = r;
-  });
+  opts.guard.WithCancellation(token)
+      .WithMaxVerifications(1u << 30)
+      .WithBudgetObserver([&] { ++fired; });
+  failpoint::Arm("verify.km", Status::OK(), /*skip=*/0, /*trips=*/1);
+  int observer_tag = 0;
+  failpoint::SetTripObserver(
+      &observer_tag, [&token](const char* /*site*/) { token.RequestCancel(); });
   auto cut = Hera(opts).Run(ds);
+  failpoint::ClearTripObserver(&observer_tag);
+  failpoint::DisarmAll();
   ASSERT_TRUE(cut.ok()) << cut.status();
   EXPECT_EQ(cut->stats.outcome, RunOutcome::kTruncatedCancelled);
   ExpectValidLabeling(*cut, ds.size());
-  if (fired > 0) {  // Fires only if a pass reached its verify stage.
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(reason, "cancelled");
-  }
+  EXPECT_GT(cut->stats.candidates, 1u) << "the pass stopped mid-way";
+  EXPECT_EQ(cut->stats.budget_deferred_groups, 0u);
+  EXPECT_EQ(fired, 0);
 }
 
-#ifndef HERA_DISABLE_OBS
+#endif  // HERA_DISABLE_FAILPOINTS
 
 TEST(ProgressiveTest, FrontierCountersSurfaceInReport) {
   Dataset ds = MakeAmbiguous();
   HeraOptions opts;
-  opts.progressive = true;
   opts.collect_report = true;
   opts.guard.WithMaxVerifications(5);
   auto cut = Hera(opts).Run(ds);
@@ -662,8 +620,6 @@ TEST(ProgressiveTest, FrontierCountersSurfaceInReport) {
   EXPECT_EQ(counters.at("quality.frontier_deferred"),
             cut->stats.budget_deferred_groups);
 }
-
-#endif  // HERA_DISABLE_OBS
 
 // --------------------------------------------------------- fault injection
 

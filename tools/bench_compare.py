@@ -51,9 +51,10 @@ MANIFEST = [
     ("BENCH_kernel.json", "verify.simd_speedup", "higher", 0.6),
     ("BENCH_kernel.json", "myers.speedup_64", "higher", 0.6),
     # Deterministic (counts verifications and measures recall, no wall
-    # clock), so the tolerance is tight. A frontier that degrades to
-    # canonical order drops the gain to ~0.5x — far past the gate.
-    ("BENCH_progressive.json", "progressive.recall_gain_50", "higher", 0.9),
+    # clock), so the tolerance is tight: the floor is 0.30 on a 0.333
+    # baseline. A frontier that degrades to canonical order recalls
+    # 0.167 at the same budget — far below the floor.
+    ("BENCH_progressive.json", "progressive.recall_50", "higher", 0.9),
 ]
 
 
