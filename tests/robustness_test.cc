@@ -491,6 +491,31 @@ Dataset MakeAmbiguous(size_t decoys = 20) {
   return GenerateAmbiguousDataset(cfg);
 }
 
+// Only a verification budget engages the best-first frontier. A guard
+// carrying just a deadline and a cancellation token that never fire
+// leaves the pass order canonical, so labels AND the merge sequence are
+// byte-identical to the default — at every thread count.
+TEST(ProgressiveTest, UngovernedRunIsByteIdenticalToDefault) {
+  Dataset ds = MakePublications();
+  for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
+    HeraOptions base;
+    base.num_threads = threads;
+    auto plain = Hera(base).Run(ds);
+    ASSERT_TRUE(plain.ok()) << plain.status();
+
+    HeraOptions gopts = base;
+    gopts.guard.WithTimeoutMs(1e9).WithCancellation(
+        CancellationToken::Make());
+    auto guarded = Hera(gopts).Run(ds);
+    ASSERT_TRUE(guarded.ok()) << guarded.status();
+    EXPECT_EQ(guarded->stats.outcome, RunOutcome::kCompleted);
+    EXPECT_EQ(guarded->stats.frontier_groups, 0u) << "threads=" << threads;
+    EXPECT_EQ(guarded->entity_of, plain->entity_of) << "threads=" << threads;
+    EXPECT_EQ(guarded->stats.merge_sequence, plain->stats.merge_sequence)
+        << "threads=" << threads;
+  }
+}
+
 TEST(ProgressiveTest, VerificationBudgetTruncatesWithValidLabels) {
   Dataset ds = MakeAmbiguous();
   auto plain = Hera(HeraOptions{}).Run(ds);
